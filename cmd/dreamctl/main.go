@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cellTO = fs.Duration("cell-timeout", 0,
 			"per-cell execution deadline on the shard (0 = shard default)")
 		rounds = fs.Int("retry-rounds", 2,
-			"extra rounds re-posting unresolved cells to surviving shards")
+			"extra rounds re-posting unresolved cells to surviving shards (0 = none)")
 		timeout = fs.Duration("timeout", 0,
 			"wall-clock deadline per simulation for -local (0 = off)")
 	)
@@ -106,9 +106,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 				eps = append(eps, ep)
 			}
 		}
+		// CampaignClient reads RetryRounds 0 as its default; the flag's 0
+		// means no extra rounds.
+		retry := *rounds
+		if retry <= 0 {
+			retry = -1
+		}
 		o.Executor = &svc.CampaignClient{
 			Endpoints:   eps,
-			RetryRounds: *rounds,
+			RetryRounds: retry,
 			CellTimeout: *cellTO,
 		}
 	}

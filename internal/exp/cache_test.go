@@ -108,17 +108,18 @@ func TestCacheRelabelsIdentity(t *testing.T) {
 }
 
 // TestGridComputesEachBaselineOnce is the exactly-once acceptance test:
-// across repeated slowdown grids at different thresholds (the Fig10/Fig19
-// pattern), every workload's trace is generated exactly once and every
-// baseline simulated exactly once; each additional threshold is pure hits.
+// across a threshold sweep (the Fig10/Fig19 pattern, whose baselines for
+// every threshold run concurrently in one wave), every workload's trace is
+// generated exactly once and every baseline simulated exactly once; each
+// additional threshold is pure hits.
 func TestGridComputesEachBaselineOnce(t *testing.T) {
 	withFreshCache(t, func() {
 		o := Options{Quick: true, Out: io.Discard, Seed: 0xcafe}
 		wls := []string{"mcf", "triad"}
 		schemes := []Scheme{MINTWith(tracker.ModeDRFMsb)}
-		for _, trh := range []int{500, 1000, 2000} {
-			if _, _, err := slowdownGridN(o, wls, trh, 4, schemes, 4000); err != nil {
-				t.Fatal(err)
+		for _, r := range slowdownSweep(o, wls, []int{500, 1000, 2000}, 4, schemes, 4000) {
+			if r.err != nil {
+				t.Fatal(r.err)
 			}
 		}
 		st := CacheStats()
@@ -130,8 +131,9 @@ func TestGridComputesEachBaselineOnce(t *testing.T) {
 			t.Errorf("baseline simulations = %d (entries %d), want exactly %d: %+v",
 				st.RunMisses, st.RunEntries, len(wls), st)
 		}
-		// 3 thresholds x 2 workloads: first threshold misses, the other two
-		// hit; scheme runs replay traces without touching the run table.
+		// 3 thresholds x 2 workloads: one baseline per workload misses, the
+		// other two share it (singleflight or memo hit); scheme runs replay
+		// traces without touching the run table.
 		if st.RunHits != int64(2*len(wls)) {
 			t.Errorf("baseline hits = %d, want %d: %+v", st.RunHits, 2*len(wls), st)
 		}

@@ -188,7 +188,9 @@ type Executor interface {
 
 // localExecutor runs cells on the in-process shared worker pool with the
 // same cancel-on-first-error semantics grids have always had: after the
-// first failure, unclaimed cells come back as harness.ErrSkipped.
+// first failure, the call's unclaimed cells come back as harness.ErrSkipped.
+// A threshold sweep's wave spans every threshold (see slowdownSweep), so one
+// failure can skip cells of other thresholds' rows too.
 type localExecutor struct{}
 
 func (localExecutor) ExecCells(ctx context.Context, cells []CampaignCell) []CellResult {
@@ -224,7 +226,7 @@ func PlanGridBase(wls []string, trh, cores int, accesses, seed uint64) []Campaig
 
 // PlanGridSchemes enumerates the scheme cells of one slowdown grid — the
 // (workload × scheme) cross product, workload-major, matching the order
-// slowdownGridN has always executed in. wsBits supplies each workload's
+// slowdown grids have always executed in. wsBits supplies each workload's
 // baseline-derived WindowScale bit pattern, making every cell self-contained.
 func PlanGridSchemes(wls []string, schemes []string, trh, cores int, accesses, seed uint64, wsBits func(wl string) uint64) []CampaignCell {
 	cells := make([]CampaignCell, 0, len(wls)*len(schemes))

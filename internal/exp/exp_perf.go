@@ -79,24 +79,16 @@ func Fig9(o Options) error {
 // averages: PARA 16.75/8.4/4.24/2.14% and MINT 8.4/4.23/2.1/1.06% at
 // T_RH = 0.5K/1K/2K/4K.
 func Fig10(o Options) error {
-	wls := o.workloads()
-	t := stats.Table{Title: "Figure 10: average slowdown of DREAM-R vs T_RH",
-		Columns: []string{"T_RH", "para-drfmsb", "para-dreamr", "mint-drfmsb", "mint-dreamr"}}
-	var errs []error
-	for _, trh := range []int{500, 1000, 2000, 4000} {
-		schemes := []Scheme{
-			PARAWith(tracker.ModeDRFMsb), DreamRPARA(true),
-			MINTWith(tracker.ModeDRFMsb), DreamRMINT(true, false),
-		}
-		slow, _, err := slowdownGrid(o, wls, trh, 8, schemes)
-		errs = append(errs, err)
-		avg := averageBy(wls, schemeNames(schemes), slow)
-		t.AddRow(fmt.Sprintf("%d", trh),
-			stats.Pct(avg["para-drfmsb"]), stats.Pct(avg["para-dreamr"]),
-			stats.Pct(avg["mint-drfmsb"]), stats.Pct(avg["mint-dreamr"]))
+	schemes := []Scheme{
+		PARAWith(tracker.ModeDRFMsb), DreamRPARA(true),
+		MINTWith(tracker.ModeDRFMsb), DreamRMINT(true, false),
 	}
+	wls := o.workloads()
+	names := schemeNames(schemes)
+	rows := slowdownSweep(o, wls, []int{500, 1000, 2000, 4000}, 8, schemes, o.accesses())
+	t, err := averageTable("Figure 10: average slowdown of DREAM-R vs T_RH", names, wls, names, rows)
 	fmt.Fprintln(o.out(), t.String())
-	return errors.Join(errs...)
+	return err
 }
 
 // Fig15Top reproduces Figure 15 (top): DREAM-C grouping functions at
@@ -120,17 +112,15 @@ func Fig15Bot(o Options) error {
 	wls := o.workloads()
 	t := stats.Table{Title: "Figure 15 (bottom): DREAM-C (randomized) slowdown vs T_RH",
 		Columns: []string{"T_RH", "average", "worst", "worst workload"}}
+	sc := DreamC(dreamcore.GroupRandomized, 1, false)
 	var errs []error
-	for _, trh := range []int{250, 500, 1000} {
-		schemes := []Scheme{DreamC(dreamcore.GroupRandomized, 1, false)}
-		slow, _, err := slowdownGridN(o, wls, trh, 8, schemes, o.counterAccesses())
-		errs = append(errs, err)
-		name := schemes[0].Name
+	for _, r := range slowdownSweep(o, wls, []int{250, 500, 1000}, 8, []Scheme{sc}, o.counterAccesses()) {
+		errs = append(errs, r.err)
 		var sum, worst float64
 		worstWL := ""
 		n := 0
 		for _, wl := range wls {
-			v := slow[wl][name]
+			v := r.slow[wl][sc.Name]
 			if math.IsNaN(v) {
 				continue
 			}
@@ -144,7 +134,7 @@ func Fig15Bot(o Options) error {
 		if n > 0 {
 			avg = sum / float64(n)
 		}
-		t.AddRow(fmt.Sprintf("%d", trh), stats.Pct(avg), stats.Pct(worst), worstWL)
+		t.AddRow(fmt.Sprintf("%d", r.trh), stats.Pct(avg), stats.Pct(worst), worstWL)
 	}
 	fmt.Fprintln(o.out(), t.String())
 	return errors.Join(errs...)
@@ -198,43 +188,29 @@ func Fig17(o Options) error {
 // paper: MOAT ≈9.7% at every threshold (intrinsic); DREAM-R beats it for
 // T_RH ≥ 500; DREAM-C is ≈0.25x of PRAC at 500.
 func Fig19(o Options) error {
+	schemes := []Scheme{MOAT(), DreamRMINT(true, false), DreamC(dreamcore.GroupRandomized, 1, false)}
 	wls := o.workloads()
-	t := stats.Table{Title: "Figure 19: average slowdown, PRAC vs DREAM",
-		Columns: []string{"T_RH", "moat(prac)", "mint-dreamr", "dreamc"}}
-	var errs []error
-	for _, trh := range []int{500, 1000, 2000, 4000} {
-		schemes := []Scheme{MOAT(), DreamRMINT(true, false), DreamC(dreamcore.GroupRandomized, 1, false)}
-		slow, _, err := slowdownGridN(o, wls, trh, 8, schemes, o.counterAccesses())
-		errs = append(errs, err)
-		avg := averageBy(wls, schemeNames(schemes), slow)
-		t.AddRow(fmt.Sprintf("%d", trh),
-			stats.Pct(avg["moat"]), stats.Pct(avg["mint-dreamr"]), stats.Pct(avg["dreamc-randomized"]))
-	}
+	rows := slowdownSweep(o, wls, []int{500, 1000, 2000, 4000}, 8, schemes, o.counterAccesses())
+	t, err := averageTable("Figure 19: average slowdown, PRAC vs DREAM",
+		[]string{"moat(prac)", "mint-dreamr", "dreamc"}, wls, schemeNames(schemes), rows)
 	fmt.Fprintln(o.out(), t.String())
-	return errors.Join(errs...)
+	return err
 }
 
 // Fig22 reproduces Appendix C (Figure 22): DREAM-C under 16 cores, and the
 // DREAM-C(2x) fix that keeps DCT entries per core constant — paper: 2x
 // drops the 16-core slowdown at 500 from 5.5% to 0.2%.
 func Fig22(o Options) error {
-	wls := o.workloads()
-	t := stats.Table{Title: "Figure 22 (Appendix C): DREAM-C with 16 cores",
-		Columns: []string{"T_RH", "dreamc-16core", "dreamc-2x-16core"}}
-	var errs []error
-	for _, trh := range []int{250, 500, 1000} {
-		schemes := []Scheme{
-			DreamC(dreamcore.GroupRandomized, 1, false),
-			DreamC(dreamcore.GroupRandomized, 2, false),
-		}
-		slow, _, err := slowdownGridN(o, wls, trh, 16, schemes, o.counterAccesses())
-		errs = append(errs, err)
-		avg := averageBy(wls, schemeNames(schemes), slow)
-		t.AddRow(fmt.Sprintf("%d", trh),
-			stats.Pct(avg["dreamc-randomized"]), stats.Pct(avg["dreamc-randomized-2x"]))
+	schemes := []Scheme{
+		DreamC(dreamcore.GroupRandomized, 1, false),
+		DreamC(dreamcore.GroupRandomized, 2, false),
 	}
+	wls := o.workloads()
+	rows := slowdownSweep(o, wls, []int{250, 500, 1000}, 16, schemes, o.counterAccesses())
+	t, err := averageTable("Figure 22 (Appendix C): DREAM-C with 16 cores",
+		[]string{"dreamc-16core", "dreamc-2x-16core"}, wls, schemeNames(schemes), rows)
 	fmt.Fprintln(o.out(), t.String())
-	return errors.Join(errs...)
+	return err
 }
 
 // Fig23 reproduces Appendix D (Figure 23): ten 8-way random SPEC2017
@@ -244,59 +220,63 @@ func Fig23(o Options) error {
 	if o.Quick {
 		nmix = 3
 	}
+	trhs := []int{500, 1000, 2000}
+	schemes := []Scheme{MOAT(), DreamRMINT(true, false), DreamC(dreamcore.GroupRandomized, 1, false)}
+	// Every cell carries the default WindowScale, so the whole sweep is one
+	// wave, threshold-major. MixSeed routes trace generation through the run
+	// cache: each mix is recorded once and replayed for every (T_RH, scheme)
+	// cell, and the baseline simulation itself is memoized across the T_RH
+	// sweep (it does not depend on the threshold).
+	perMix := append([]Scheme{Baseline}, schemes...)
+	var cells []CampaignCell
+	for _, trh := range trhs {
+		for m := 0; m < nmix; m++ {
+			for _, sc := range perMix {
+				cells = append(cells, CampaignCell{
+					Workload: fmt.Sprintf("mix%d", m),
+					MixSeed:  uint64(m) + 1,
+					Scheme:   sc.Name,
+					TRH:      trh, Cores: 8,
+					Accesses:        o.accesses(),
+					Seed:            o.seed(),
+					WindowScaleBits: math.Float64bits(o.windowScale()),
+				})
+			}
+		}
+	}
+	results := o.executor().ExecCells(context.Background(), cells)
+	for _, r := range results {
+		if r.Err != nil && !errors.Is(r.Err, harness.ErrSkipped) {
+			return r.Err
+		}
+	}
+	// Each mix's baseline is the cell planned just before its scheme cells.
+	avg := make(map[int]map[string]float64)
+	var base stats.RunResult
+	for i, c := range cells {
+		if c.Scheme == Baseline.Name {
+			base = results[i].Res
+			continue
+		}
+		// Weighted-speedup slowdown with the unprotected run on the
+		// same traces as the per-core normalisation.
+		sd, err := stats.SlowdownWS(base, results[i].Res, base.CoreIPC)
+		if err != nil {
+			return err
+		}
+		if avg[c.TRH] == nil {
+			avg[c.TRH] = make(map[string]float64)
+		}
+		avg[c.TRH][c.Scheme] += sd / float64(nmix)
+	}
 	t := stats.Table{Title: "Figure 23 (Appendix D): mixed workloads, average slowdown",
 		Columns: []string{"T_RH", "moat(prac)", "mint-dreamr", "dreamc"}}
-	for _, trh := range []int{500, 1000, 2000} {
-		schemes := []Scheme{MOAT(), DreamRMINT(true, false), DreamC(dreamcore.GroupRandomized, 1, false)}
-		// MixSeed routes trace generation through the run cache: each mix is
-		// recorded once and replayed for every (T_RH, scheme) cell, and the
-		// baseline simulation itself is memoized across the T_RH sweep (it
-		// does not depend on the threshold).
-		var cells []CampaignCell
-		cell := func(m int, scheme string) CampaignCell {
-			return CampaignCell{
-				Workload: fmt.Sprintf("mix%d", m),
-				MixSeed:  uint64(m) + 1,
-				Scheme:   scheme,
-				TRH:      trh, Cores: 8,
-				Accesses:        o.accesses(),
-				Seed:            o.seed(),
-				WindowScaleBits: math.Float64bits(o.windowScale()),
-			}
+	for _, trh := range trhs {
+		row := []string{fmt.Sprintf("%d", trh)}
+		for _, sc := range schemes {
+			row = append(row, stats.Pct(avg[trh][sc.Name]))
 		}
-		for m := 0; m < nmix; m++ {
-			cells = append(cells, cell(m, Baseline.Name))
-			for _, sc := range schemes {
-				cells = append(cells, cell(m, sc.Name))
-			}
-		}
-		results := o.executor().ExecCells(context.Background(), cells)
-		for _, r := range results {
-			if r.Err != nil && !errors.Is(r.Err, harness.ErrSkipped) {
-				return r.Err
-			}
-		}
-		base := make(map[uint64]stats.RunResult)
-		for i, c := range cells {
-			if c.Scheme == "base" {
-				base[c.MixSeed] = results[i].Res
-			}
-		}
-		avg := make(map[string]float64)
-		for i, c := range cells {
-			if c.Scheme == "base" {
-				continue
-			}
-			// Weighted-speedup slowdown with the unprotected run on the
-			// same traces as the per-core normalisation.
-			sd, err := stats.SlowdownWS(base[c.MixSeed], results[i].Res, base[c.MixSeed].CoreIPC)
-			if err != nil {
-				return err
-			}
-			avg[c.Scheme] += sd / float64(nmix)
-		}
-		t.AddRow(fmt.Sprintf("%d", trh),
-			stats.Pct(avg["moat"]), stats.Pct(avg["mint-dreamr"]), stats.Pct(avg["dreamc-randomized"]))
+		t.AddRow(row...)
 	}
 	fmt.Fprintln(o.out(), t.String())
 	return nil

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
 
 	dreamcore "repro/internal/core"
@@ -125,48 +124,30 @@ func PostDream(o Options) error {
 		trhs = []int{1000}
 	}
 
-	t := stats.Table{Title: "Post-DREAM comparison: average slowdown at equal storage budget",
-		Columns: append([]string{"T_RH"}, names...)}
-	storage := make(map[int]map[string]int64) // trh -> scheme -> StorageBits
-	var errs []error
-	for _, trh := range trhs {
-		slow, raw, err := slowdownGridN(o, wls, trh, 8, schemes, o.counterAccesses())
-		errs = append(errs, err)
-		avg := averageBy(wls, names, slow)
-		row := []string{fmt.Sprintf("%d", trh)}
-		for _, n := range names {
-			row = append(row, stats.Pct(avg[n]))
-		}
-		t.AddRow(row...)
-		storage[trh] = make(map[string]int64)
-		for _, n := range names {
-			for _, wl := range wls {
-				if r, ok := raw[wl][n]; ok {
-					storage[trh][n] = r.StorageBits
-					break
-				}
-			}
-		}
-	}
+	rows := slowdownSweep(o, wls, trhs, 8, schemes, o.counterAccesses())
+	t, err := averageTable("Post-DREAM comparison: average slowdown at equal storage budget",
+		names, wls, names, rows)
 	fmt.Fprintln(o.out(), t.String())
 
 	// The budget table: measured controller SRAM per bank (from the
-	// simulated mitigators' StorageBits) next to the analytic DREAM-C budget
-	// each was sized against.
+	// simulated mitigators' StorageBits of the first workload that ran)
+	// next to the analytic DREAM-C budget each was sized against.
 	st := stats.Table{Title: "Post-DREAM comparison: measured KB/bank (budget = DREAM-C Table 6)",
 		Columns: append([]string{"T_RH", "budget"}, names...)}
-	for _, trh := range trhs {
-		row := []string{fmt.Sprintf("%d", trh), fmt.Sprintf("%.2f", security.DreamCKBPerBank(trh, 1))}
+	for _, r := range rows {
+		row := []string{fmt.Sprintf("%d", r.trh), fmt.Sprintf("%.2f", security.DreamCKBPerBank(r.trh, 1))}
 		for _, n := range names {
-			bits, ok := storage[trh][n]
-			if !ok {
-				row = append(row, "FAIL")
-				continue
+			cell := "FAIL"
+			for _, wl := range wls {
+				if res, ok := r.raw[wl][n]; ok {
+					cell = fmt.Sprintf("%.2f", float64(res.StorageBits)/8/1024/float64(security.BanksPerSubChannel))
+					break
+				}
 			}
-			row = append(row, fmt.Sprintf("%.2f", float64(bits)/8/1024/float64(security.BanksPerSubChannel)))
+			row = append(row, cell)
 		}
 		st.AddRow(row...)
 	}
 	fmt.Fprintln(o.out(), st.String())
-	return errors.Join(errs...)
+	return err
 }

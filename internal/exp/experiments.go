@@ -158,99 +158,136 @@ func slowdownGrid(o Options, wls []string, trh int, cores int, schemes []Scheme)
 	return slowdownGridN(o, wls, trh, cores, schemes, o.accesses())
 }
 
-// slowdownGridN is slowdownGrid with an explicit per-core trace length.
-// Baselines run first so each workload's counter-threshold WindowScale can
-// be derived from its measured simulation time.
-//
-// The grid degrades instead of aborting: when runs fail, the surviving
-// cells are still returned and every failed or skipped cell is marked NaN
-// in slow (rendered as FAIL by stats.Pct), with the underlying failures
-// joined into the returned error. Callers should render what survived and
-// then propagate the error.
+// slowdownGridN is slowdownGrid with an explicit per-core trace length: the
+// one-threshold case of slowdownSweep.
 func slowdownGridN(o Options, wls []string, trh int, cores int, schemes []Scheme, accesses uint64) (map[string]map[string]float64, map[string]map[string]stats.RunResult, error) {
-	slow := make(map[string]map[string]float64)
-	raw := make(map[string]map[string]stats.RunResult)
-	for _, wl := range wls {
-		raw[wl] = make(map[string]stats.RunResult)
-		slow[wl] = make(map[string]float64)
+	r := slowdownSweep(o, wls, []int{trh}, cores, schemes, accesses)[0]
+	return r.slow, r.raw, r.err
+}
+
+// sweepRow is one threshold of a slowdown sweep: slow[workload][scheme], the
+// raw results behind it (each workload's baseline under "base"), and the
+// joined failures of that threshold's cells.
+type sweepRow struct {
+	trh  int
+	slow map[string]map[string]float64
+	raw  map[string]map[string]stats.RunResult
+	err  error
+}
+
+// slowdownSweep runs base plus each scheme for each workload at every
+// threshold in trhs and returns one row per threshold, in trhs order.
+//
+// The sweep is a two-wave campaign however many thresholds it spans: every
+// threshold's baselines, then every threshold's scheme cells, each stamped
+// with the counter-threshold WindowScale its workload's measured baseline
+// implies. Both waves go through the Options executor (in-process or across
+// dreamd shards). Cells are planned threshold-major by PlanGridBase and
+// PlanGridSchemes: exactly the cells of one grid per threshold.
+//
+// The sweep degrades instead of aborting: failed and skipped cells are NaN
+// in slow (FAIL in stats.Pct), a workload whose baseline failed fails its
+// whole row at that threshold, and each row's err joins that threshold's
+// failures. The in-process executor cancels a wave's unclaimed cells on its
+// first failure, so one failure can skip cells of every threshold, not just
+// its own. Callers should render what survived, then propagate the errors.
+func slowdownSweep(o Options, wls []string, trhs []int, cores int, schemes []Scheme, accesses uint64) []sweepRow {
+	names := schemeNames(schemes)
+	rows := make([]sweepRow, len(trhs))
+	fails := make([][]error, len(trhs))
+	byTRH := make(map[int]int, len(trhs))
+	var baseCells []CampaignCell
+	for k, trh := range trhs {
+		rows[k] = sweepRow{trh: trh,
+			slow: make(map[string]map[string]float64), raw: make(map[string]map[string]stats.RunResult)}
+		for _, wl := range wls {
+			rows[k].slow[wl] = make(map[string]float64)
+			rows[k].raw[wl] = make(map[string]stats.RunResult)
+		}
+		byTRH[trh] = k
+		baseCells = append(baseCells, PlanGridBase(wls, trh, cores, accesses, o.seed())...)
 	}
-	markFailed := func(wl string) {
-		for _, sc := range schemes {
-			slow[wl][sc.Name] = math.NaN()
+	fail := func(k int, err error) {
+		if !errors.Is(err, harness.ErrSkipped) {
+			fails[k] = append(fails[k], err)
 		}
 	}
 
-	// The grid is a two-wave campaign: plan and execute the baselines, derive
-	// each workload's WindowScale from its measured baseline, then plan and
-	// execute the scheme cells with the scale stamped in. Both waves go
-	// through the Options executor, so the same planner output runs in-process
-	// or fanned out across dreamd shards.
 	ctx := context.Background()
 	ex := o.executor()
-	base := make(map[string]stats.RunResult)
-	baseCells := PlanGridBase(wls, trh, cores, accesses, o.seed())
 	baseRes := ex.ExecCells(ctx, baseCells)
-	// Scheme runs need their workload's measured baseline (WindowScale);
-	// a workload whose baseline failed fails whole-row.
-	var good []string
-	var fails []error
-	for i, wl := range wls {
-		if err := baseRes[i].Err; err != nil {
-			markFailed(wl)
-			if !errors.Is(err, harness.ErrSkipped) {
-				fails = append(fails, err)
+	var cells []CampaignCell
+	for k, r := range rows {
+		var good []string
+		for j, wl := range wls {
+			if res := baseRes[k*len(wls)+j]; res.Err != nil {
+				for _, n := range names {
+					r.slow[wl][n] = math.NaN()
+				}
+				fail(k, res.Err)
+			} else {
+				r.raw[wl]["base"] = res.Res
+				good = append(good, wl)
 			}
-			continue
 		}
-		base[wl] = baseRes[i].Res
-		raw[wl]["base"] = baseRes[i].Res
-		good = append(good, wl)
+		cells = append(cells, PlanGridSchemes(good, names, r.trh, cores, accesses, o.seed(),
+			func(wl string) uint64 { return math.Float64bits(scaleFromBase(r.raw[wl]["base"].SimTimeNS)) })...)
 	}
 
-	cells := PlanGridSchemes(good, schemeNames(schemes), trh, cores, accesses, o.seed(),
-		func(wl string) uint64 { return math.Float64bits(scaleFromBase(base[wl].SimTimeNS)) })
 	results := ex.ExecCells(ctx, cells)
 	for i, c := range cells {
+		k := byTRH[c.TRH]
+		r := rows[k]
 		if err := results[i].Err; err != nil {
-			slow[c.Workload][c.Scheme] = math.NaN()
-			if !errors.Is(err, harness.ErrSkipped) {
-				fails = append(fails, err)
-			}
+			r.slow[c.Workload][c.Scheme] = math.NaN()
+			fail(k, err)
 			continue
 		}
-		raw[c.Workload][c.Scheme] = results[i].Res
-		slow[c.Workload][c.Scheme] = stats.Slowdown(base[c.Workload], results[i].Res)
+		r.raw[c.Workload][c.Scheme] = results[i].Res
+		r.slow[c.Workload][c.Scheme] = stats.Slowdown(r.raw[c.Workload]["base"], results[i].Res)
 	}
-	return slow, raw, errors.Join(fails...)
+	for k := range rows {
+		rows[k].err = errors.Join(fails[k]...)
+	}
+	return rows
+}
+
+// averageTable renders a sweep with one row per threshold: T_RH, then each
+// scheme's workload-average slowdown in names order (FAIL where no workload
+// survived), under the given column headers. It returns the rows' joined
+// errors.
+func averageTable(title string, headers []string, wls []string, names []string, rows []sweepRow) (stats.Table, error) {
+	t := stats.Table{Title: title, Columns: append([]string{"T_RH"}, headers...)}
+	var errs []error
+	for _, r := range rows {
+		avg := averageBy(wls, names, r.slow)
+		cells := []string{fmt.Sprintf("%d", r.trh)}
+		for _, n := range names {
+			cells = append(cells, stats.Pct(avg[n]))
+		}
+		t.AddRow(cells...)
+		errs = append(errs, r.err)
+	}
+	return t, errors.Join(errs...)
 }
 
 // printSlowdownTable renders a per-workload slowdown table plus the average
 // row, with scheme columns in the given order. Failed cells (NaN, see
-// slowdownGridN) render as FAIL and are excluded from the average, so a
+// slowdownSweep) render as FAIL and are excluded from the average, so a
 // degraded grid still yields a readable figure.
 func printSlowdownTable(w io.Writer, title string, wls []string, schemeNames []string, slow map[string]map[string]float64) {
 	t := stats.Table{Title: title, Columns: append([]string{"workload"}, schemeNames...)}
-	avg := make(map[string]float64)
-	cnt := make(map[string]int)
 	for _, wl := range wls {
 		row := []string{wl}
 		for _, s := range schemeNames {
-			v := slow[wl][s]
-			if !math.IsNaN(v) {
-				avg[s] += v
-				cnt[s]++
-			}
-			row = append(row, stats.Pct(v))
+			row = append(row, stats.Pct(slow[wl][s]))
 		}
 		t.AddRow(row...)
 	}
+	avg := averageBy(wls, schemeNames, slow)
 	row := []string{"AVERAGE"}
 	for _, s := range schemeNames {
-		if cnt[s] == 0 {
-			row = append(row, stats.Pct(math.NaN()))
-			continue
-		}
-		row = append(row, stats.Pct(avg[s]/float64(cnt[s])))
+		row = append(row, stats.Pct(avg[s]))
 	}
 	t.AddRow(row...)
 	fmt.Fprintln(w, t.String())

@@ -6,9 +6,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -217,6 +220,38 @@ func TestCampaignClientDropsMismatchedShard(t *testing.T) {
 	for i, r := range out {
 		if r.Err == nil {
 			t.Errorf("cell %d resolved against a mismatched shard", i)
+		}
+	}
+}
+
+// TestCampaignClientRetryRounds pins how RetryRounds maps to rounds against a
+// shard that fails every cell retryably: a negative value posts the plan
+// once and leaves the cell unresolved, zero keeps the default of two extra
+// rounds, and a positive value adds that many.
+func TestCampaignClientRetryRounds(t *testing.T) {
+	var posts atomic.Int32
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/campaign" {
+			http.NotFound(w, r) // no roster: the preflight keeps the shard
+			return
+		}
+		posts.Add(1)
+		enc := json.NewEncoder(w)
+		enc.Encode(campaignLine{Type: "cell", Cell: 0, Error: "watchdog", Retryable: true})
+		enc.Encode(campaignLine{Type: "done"})
+	}))
+	defer shard.Close()
+
+	for _, tc := range []struct{ retryRounds, rounds int }{{-1, 1}, {0, 3}, {1, 2}} {
+		posts.Store(0)
+		c := &CampaignClient{Endpoints: []string{shard.URL}, RetryRounds: tc.retryRounds}
+		out := c.ExecCells(context.Background(), testCells(7, "base"))
+		want := fmt.Sprintf("unresolved after %d rounds", tc.rounds)
+		if out[0].Err == nil || !strings.Contains(out[0].Err.Error(), want) {
+			t.Errorf("RetryRounds %d: err = %v, want %q", tc.retryRounds, out[0].Err, want)
+		}
+		if got := int(posts.Load()); got != tc.rounds {
+			t.Errorf("RetryRounds %d: posted the plan %d times, want %d", tc.retryRounds, got, tc.rounds)
 		}
 	}
 }

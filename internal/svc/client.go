@@ -35,7 +35,8 @@ type CampaignClient struct {
 	// are long-lived; the client must not set a whole-request timeout.
 	HTTP *http.Client
 	// RetryRounds is how many extra passes re-post unresolved cells to the
-	// shards that are still alive (default 2).
+	// shards that are still alive: 0 selects the default of 2, a negative
+	// value none (a single round).
 	RetryRounds int
 	// CellTimeout bounds each cell's execution on the shard (0 = shard
 	// default).
@@ -81,8 +82,11 @@ func (c *CampaignClient) ExecCells(ctx context.Context, cells []exp.CampaignCell
 		httpc = http.DefaultClient
 	}
 	rounds := 1 + c.RetryRounds
-	if c.RetryRounds == 0 {
+	switch {
+	case c.RetryRounds == 0:
 		rounds = 3
+	case c.RetryRounds < 0:
+		rounds = 1
 	}
 
 	states := make([]cellState, len(cells))

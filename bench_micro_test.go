@@ -9,7 +9,6 @@ package dream
 // tracked numbers live in BENCH_<n>.json.
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/cache"
@@ -105,13 +104,6 @@ func BenchmarkAuditorObserve(b *testing.B) {
 // (an iteration that simulated no events fails the benchmark).
 func benchMitigated(b *testing.B, cfg exp.RunConfig) {
 	b.Helper()
-	// BENCH_PARALLEL_SUBCHANNELS=1 (recorded by scripts/bench_json.sh) turns
-	// on the parallel controller pass for the measured runs; bit-identical,
-	// wall-clock only, helps only when GOMAXPROCS > 1.
-	if os.Getenv("BENCH_PARALLEL_SUBCHANNELS") == "1" {
-		prev := exp.SetParallelSubChannels(true)
-		b.Cleanup(func() { exp.SetParallelSubChannels(prev) })
-	}
 	warm := cfg
 	warm.Scheme = exp.Baseline
 	warm.MaxTime = 1
@@ -153,10 +145,6 @@ func benchSystemRun(b *testing.B, engine system.EngineKind) {
 
 	cfg := system.DefaultConfig()
 	cfg.Engine = engine
-	// BENCH_PARALLEL_SUBCHANNELS=1 (recorded by scripts/bench_json.sh) turns
-	// on the parallel controller pass; it changes wall-clock only, and only
-	// helps when GOMAXPROCS > 1.
-	cfg.ParallelSubChannels = os.Getenv("BENCH_PARALLEL_SUBCHANNELS") == "1"
 	cfg.NewMitigator = func(sub int) memctrl.Mitigator {
 		m, err := tracker.NewPARA(0.01, tracker.ModeDRFMsb, sim.NewRNG(uint64(sub+99)))
 		if err != nil {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -28,10 +29,6 @@ func main() {
 		list        = flag.Bool("list", false, "list workloads and schemes, then exit")
 		listSchemes = flag.Bool("list-schemes", false,
 			"list every registered mitigation scheme (with storage budget and security model), then exit")
-		engine = flag.String("engine", "wheel",
-			`event-loop engine: "wheel" (default) or "legacy" (bit-identical reference)`)
-		parallelSub = flag.Bool("parallel-subchannels", false,
-			"run same-tick sub-channel controllers on parallel goroutines (bit-identical; helps only with GOMAXPROCS > 1)")
 		cacheDir = flag.String("cache-dir", ".dreamcache",
 			`persistent result cache directory ("" disables; repeat runs are served from disk)`)
 		cacheMax = flag.Int64("cache-max-bytes", 0,
@@ -46,11 +43,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := dream.SetEngine(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, "dreamsim:", err)
-		os.Exit(2)
-	}
-	dream.SetParallelSubChannels(*parallelSub)
 	if *cacheDir != "" {
 		// An unusable cache dir degrades to compute-only, never a failure.
 		if err := dream.SetCacheDir(*cacheDir, *cacheMax); err != nil {
@@ -106,7 +98,7 @@ func main() {
 	}
 
 	if *compare {
-		base, res, slowdown, err := dream.Compare(cfg)
+		base, res, slowdown, err := dream.CompareContext(context.Background(), cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dreamsim:", err)
 			os.Exit(1)
@@ -116,7 +108,7 @@ func main() {
 		fmt.Printf("slowdown: %.2f%%\n", 100*slowdown)
 		return
 	}
-	res, err := dream.Simulate(cfg)
+	res, err := dream.SimulateContext(context.Background(), cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dreamsim:", err)
 		os.Exit(1)

@@ -79,11 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fault = fs.String("fault", "",
 			"inject a test fault: kind:nth[:times], kinds panic|error|flaky|stall (or $EXPERIMENTS_FAULT)")
 
-		engine = fs.String("engine", "wheel",
-			`event-loop engine: "wheel" (default) or "legacy" (bit-identical reference; bypasses the baseline cache)`)
-		parallelSub = fs.Bool("parallel-subchannels", false,
-			"run same-tick sub-channel controllers on parallel goroutines (bit-identical; helps only with GOMAXPROCS > 1)")
-
 		metrics = fs.String("metrics", "",
 			`observability export formats, comma-separated ("jsonl", "csv", "prom"); empty = off`)
 		metricsDir = fs.String("metrics-dir", filepath.Join("results", "metrics"),
@@ -104,19 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "experiments: disk cache disabled: %v\n", err)
 		}
 		defer exp.SetDiskCache("", 0)
-	}
-	switch *engine {
-	case "", "wheel":
-	case "legacy":
-		prev := exp.SetLegacyEngine(true)
-		defer exp.SetLegacyEngine(prev)
-	default:
-		fmt.Fprintf(stderr, "experiments: unknown -engine %q (want wheel or legacy)\n", *engine)
-		return 2
-	}
-	if *parallelSub {
-		prev := exp.SetParallelSubChannels(true)
-		defer exp.SetParallelSubChannels(prev)
 	}
 	if *metrics != "" {
 		prev := exp.SetDefaultMetrics(&obs.Options{

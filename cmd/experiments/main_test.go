@@ -83,25 +83,6 @@ func TestListExitsZero(t *testing.T) {
 	}
 }
 
-func TestUnknownEngineIsUsageError(t *testing.T) {
-	code, _, errOut := runCLI(t, "-engine", "bogus", "-run", "table1")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut, "unknown -engine") {
-		t.Errorf("stderr = %q", errOut)
-	}
-}
-
-func TestLegacyEngineRunsAnalyticExperiment(t *testing.T) {
-	// table1 is analytic, so this covers the flag plumbing (set + restore)
-	// without a full simulation.
-	code, _, errOut := runCLI(t, "-engine", "legacy", "-run", "table1", "-journal", "off")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-}
-
 func TestUnknownExperimentExitsNonZero(t *testing.T) {
 	code, _, errOut := runCLI(t, "-run", "nope")
 	if code == 0 {

@@ -5,13 +5,16 @@
 // The package is a facade over the full simulation stack in internal/: a
 // DDR5 memory-system simulator with the JEDEC DRFM interface, the paper's
 // baseline trackers (PARA, MINT, Graphene, ABACuS, MOAT/PRAC), and the
-// paper's contributions DREAM-R and DREAM-C. Three entry points cover most
+// paper's contributions DREAM-R and DREAM-C. A few entry points cover most
 // uses:
 //
-//   - Simulate runs one workload under one mitigation scheme and reports
-//     performance and mitigation metrics.
-//   - Attack mounts a Rowhammer pattern against a scheme and reports the
-//     security audit (maximum unmitigated activations).
+//   - SimulateContext runs one workload under one mitigation scheme and
+//     reports performance and mitigation metrics; CompareContext adds the
+//     unprotected baseline on identical traces and the slowdown.
+//   - AttackContext mounts a Rowhammer pattern against a scheme and reports
+//     the security audit (maximum unmitigated activations).
+//   - RegisterScheme adds a custom tracker that every entry point, CLI and
+//     dreamd can then run by name.
 //   - The Analysis functions expose the paper's analytic models (revised
 //     tracker parameters, storage budgets, rate-limit impact).
 //
@@ -204,30 +207,6 @@ type (
 	MetricsEvent = obs.Event
 )
 
-// SetEngine selects the simulator's event-loop implementation for every
-// subsequent run in this process: "wheel" (the default timing-wheel loop) or
-// "legacy" (the retained scan-everything loop). The engines are bit-identical
-// by construction — the switch exists for equivalence checks and A/B
-// benchmarks, and legacy runs bypass the baseline run cache so comparisons
-// always time real simulations.
-func SetEngine(name string) error {
-	switch name {
-	case "", "wheel":
-		exp.SetLegacyEngine(false)
-	case "legacy":
-		exp.SetLegacyEngine(true)
-	default:
-		return fmt.Errorf("dream: unknown engine %q (want wheel or legacy)", name)
-	}
-	return nil
-}
-
-// SetParallelSubChannels toggles parallel sub-channel controller execution
-// for every subsequent run in this process. The parallel pass is
-// bit-identical to the serial one; it changes only wall-clock, and only
-// helps when GOMAXPROCS > 1.
-func SetParallelSubChannels(on bool) { exp.SetParallelSubChannels(on) }
-
 // RetryPolicy bounds how transiently-failed simulations are retried:
 // attempt count, base/max delay, and jitter. The zero value of every field
 // selects its documented default; DefaultRetryPolicy() reproduces the
@@ -313,8 +292,7 @@ func (c Config) withDefaults() Config {
 
 // Validate reports whether the configuration is runnable. Zero values are
 // legal everywhere they have defaults (a zero TRH means 2000, not an error);
-// set values must be in range. An empty Scheme is allowed — SimulateCustom
-// supplies its own mitigator — but a non-empty Scheme must name a
+// set values must be in range. Scheme has no default: it must name a
 // registered scheme (built-in or RegisterScheme'd).
 func (c Config) Validate() error {
 	if c.TRH != 0 && c.TRH < 4 {
@@ -326,12 +304,16 @@ func (c Config) Validate() error {
 	if c.Cores < 0 || c.Cores > 512 {
 		return fmt.Errorf("dream: Cores %d out of range [0, 512]", c.Cores)
 	}
-	if c.Scheme != "" {
-		if _, err := schemeFor(c.Scheme); err != nil {
-			return err
-		}
+	return validScheme(c.Scheme)
+}
+
+// validScheme rejects an empty or unregistered scheme ID.
+func validScheme(id SchemeID) error {
+	if id == "" {
+		return fmt.Errorf("dream: Scheme is required (RegisteredSchemes lists every name)")
 	}
-	return nil
+	_, err := schemeFor(id)
+	return err
 }
 
 // runConfig lowers a default-filled facade config onto the experiment
@@ -377,14 +359,6 @@ func firstJobErr(ctx context.Context, errs []error, err error) error {
 // Workloads lists the Table-3 workload names.
 func Workloads() []string { return workload.Names() }
 
-// Simulate runs one configuration.
-//
-// Deprecated: equivalent to SimulateContext(context.Background(), cfg);
-// retained so existing callers keep compiling.
-func Simulate(cfg Config) (Result, error) {
-	return SimulateContext(context.Background(), cfg)
-}
-
 // SimulateContext runs one configuration under ctx: cancelling ctx aborts
 // the simulation at its next progress check with an error satisfying
 // errors.Is(err, ctx.Err()). The run executes on the experiment harness's
@@ -410,18 +384,10 @@ func SimulateContext(ctx context.Context, cfg Config) (Result, error) {
 	return results[0], nil
 }
 
-// Compare runs the unprotected baseline and the scheme on identical traces
-// and returns both results plus the slowdown fraction.
-//
-// Deprecated: equivalent to CompareContext(context.Background(), cfg);
-// retained so existing callers keep compiling.
-func Compare(cfg Config) (base, scheme Result, slowdown float64, err error) {
-	return CompareContext(context.Background(), cfg)
-}
-
-// CompareContext is Compare under a context: baseline and scheme run
-// concurrently on the shared worker pool (identical traces — the trace set
-// is memoized by seed), and cancelling ctx aborts both.
+// CompareContext runs the unprotected baseline and the scheme on identical
+// traces and returns both results plus the slowdown fraction. Baseline and
+// scheme run concurrently on the shared worker pool (the trace set is
+// memoized by seed), and cancelling ctx aborts both.
 func CompareContext(ctx context.Context, cfg Config) (base, scheme Result, slowdown float64, err error) {
 	cfg = cfg.withDefaults()
 	if err = cfg.Validate(); err != nil {
@@ -505,12 +471,7 @@ func (c AttackConfig) Validate() error {
 	if c.Cores < 0 || c.Cores > 512 {
 		return fmt.Errorf("dream: Cores %d out of range [0, 512]", c.Cores)
 	}
-	if c.Scheme != "" {
-		if _, err := schemeFor(c.Scheme); err != nil {
-			return err
-		}
-	}
-	return nil
+	return validScheme(c.Scheme)
 }
 
 // AttackResult reports the audit outcome.
@@ -543,17 +504,9 @@ func (r AttackResult) MarshalJSON() ([]byte, error) {
 	return json.Marshal(fields)
 }
 
-// Attack mounts the pattern against the scheme with the auditor enabled.
-// The attacker runs with a tiny LLC (modelling clflush) at maximum rate.
-//
-// Deprecated: equivalent to AttackContext(context.Background(), cfg);
-// retained so existing callers keep compiling.
-func Attack(cfg AttackConfig) (AttackResult, error) {
-	return AttackContext(context.Background(), cfg)
-}
-
-// AttackContext is Attack under a context (see SimulateContext for the
-// cancellation contract).
+// AttackContext mounts the pattern against the scheme with the auditor
+// enabled. The attacker runs with a tiny LLC (modelling clflush) at maximum
+// rate. Cancelling ctx aborts the run as in SimulateContext.
 func AttackContext(ctx context.Context, cfg AttackConfig) (AttackResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -613,7 +566,8 @@ func AttackContext(ctx context.Context, cfg AttackConfig) (AttackResult, error) 
 }
 
 // Mitigator is re-exported so downstream users can implement custom
-// trackers against the controller hook (see examples/customtracker).
+// trackers against the controller hook and register them with
+// RegisterScheme (see examples/customtracker).
 type Mitigator = memctrl.Mitigator
 
 // Decision, Op, Tick, and Mitigation are the hook vocabulary for custom
@@ -634,45 +588,6 @@ const (
 	OpGangMitigate   = memctrl.OpGangMitigate
 	OpStallAll       = memctrl.OpStallAll
 )
-
-// SimulateCustom runs a workload under a user-provided mitigator factory
-// (one mitigator per sub-channel).
-//
-// Deprecated: register the tracker with RegisterScheme and set Config.Scheme
-// instead — registered schemes are cacheable, shardable, and reachable from
-// the CLIs and dreamd, none of which a one-off factory closure can be.
-// Retained as a working wrapper so existing callers keep compiling.
-func SimulateCustom(cfg Config, build func(sub int) Mitigator) (Result, error) {
-	return SimulateCustomContext(context.Background(), cfg, build)
-}
-
-// SimulateCustomContext is SimulateCustom under a context (see
-// SimulateContext for the cancellation contract). Config.Scheme is ignored;
-// the build factory supplies the mitigators.
-//
-// Deprecated: prefer RegisterScheme + SimulateContext (see SimulateCustom).
-func SimulateCustomContext(ctx context.Context, cfg Config, build func(sub int) Mitigator) (Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	// Custom schemes never declare purity (their behavior is not identified
-	// by a name), so they are never served from or written to the cache;
-	// applying the knob still lets their baselines share the disk tier.
-	cfg.applyCache()
-	sc := exp.Scheme{
-		Name:  "custom",
-		Build: func(env exp.Env, sub int) (memctrl.Mitigator, error) { return build(sub), nil },
-	}
-	results, errs, err := exp.ParallelCtx(ctx, 1,
-		func(jctx context.Context, _ int) (Result, error) {
-			return exp.Run(cfg.runConfig(sc, jctx))
-		})
-	if err := firstJobErr(ctx, errs, err); err != nil {
-		return Result{}, err
-	}
-	return results[0], nil
-}
 
 // Analysis re-exports the paper's analytic models.
 type Analysis struct{}

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -17,7 +19,7 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 		want string // substring of the error; "" = valid
 	}{
-		{"zero-config defaults", Config{}, ""},
+		{"zero sizing defaults", Config{Scheme: DreamRMINT}, ""},
 		{"zero TRH is default-me", Config{Workload: "xz", Scheme: DreamRMINT}, ""},
 		{"tiny TRH", Config{TRH: 2}, "TRH"},
 		{"negative window", Config{WindowScale: -0.5}, "WindowScale"},
@@ -25,7 +27,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative cores", Config{Cores: -1}, "Cores"},
 		{"absurd cores", Config{Cores: 1 << 10}, "Cores"},
 		{"unknown scheme", Config{Scheme: "bogus"}, "unknown scheme"},
-		{"empty scheme ok (custom)", Config{}, ""},
+		{"empty scheme", Config{}, "Scheme is required"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -64,14 +66,24 @@ func TestSimulateContextCancelMidRun(t *testing.T) {
 	}
 }
 
+// TestCompareContextMatchesSequential: the concurrent baseline and scheme
+// runs of CompareContext equal two sequential SimulateContext runs.
 func TestCompareContextMatchesSequential(t *testing.T) {
+	ctx := context.Background()
 	cfg := Config{Workload: "bc", Scheme: PARADRFMab, TRH: 500,
 		Cores: 2, AccessesPerCore: 6000, Seed: 2}
-	base1, res1, slow1, err := Compare(cfg)
+	baseCfg := cfg
+	baseCfg.Scheme = Unprotected
+	base1, err := SimulateContext(ctx, baseCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base2, res2, slow2, err := CompareContext(context.Background(), cfg)
+	res1, err := SimulateContext(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow1 := stats.Slowdown(base1, res1)
+	base2, res2, slow2, err := CompareContext(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +107,17 @@ func TestAttackConfigValidate(t *testing.T) {
 		!strings.Contains(err.Error(), "Cores") {
 		t.Errorf("bad cores: %v", err)
 	}
+	if err := (AttackConfig{Kind: AttackCircular}).Validate(); err == nil ||
+		!strings.Contains(err.Error(), "Scheme is required") {
+		t.Errorf("empty scheme: %v", err)
+	}
 	if err := (AttackConfig{Kind: AttackCircular, Scheme: DreamRMINT}).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
 
 func TestAttackRespectsCores(t *testing.T) {
-	res, err := Attack(AttackConfig{
+	res, err := AttackContext(context.Background(), AttackConfig{
 		Kind: AttackDoubleSided, Scheme: Unprotected, TRH: 1000,
 		Acts: 30_000, Cores: 2,
 	})
@@ -130,23 +146,5 @@ func TestAttackResultJSONKeepsBreached(t *testing.T) {
 	}
 	if m["schema_version"] != float64(1) || m["activations"] != float64(42) {
 		t.Errorf("embedded versioned encoding lost: %s", b)
-	}
-}
-
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	// Simulate/SimulateCustom/Compare/Attack are exercised elsewhere; this
-	// guards that the wrappers and the context variants share defaults.
-	cfg := Config{Workload: "xz", Scheme: MINTDRFMsb, TRH: 2000,
-		Cores: 2, AccessesPerCore: 2000, Seed: 1}
-	r1, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := SimulateContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := r1.Diff(r2); len(d) != 0 {
-		t.Errorf("wrapper and context variant disagree: %v", d)
 	}
 }

@@ -1,6 +1,7 @@
 package dream
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,7 +30,7 @@ func TestConfigCacheDirPersistsResults(t *testing.T) {
 		CacheDir:        dir,
 	}
 	exp.ResetCache()
-	cold, err := Simulate(cfg)
+	cold, err := SimulateContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestConfigCacheDirPersistsResults(t *testing.T) {
 	}
 
 	exp.ResetCache()
-	warm, err := Simulate(cfg)
+	warm, err := SimulateContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +53,8 @@ func TestConfigCacheDirPersistsResults(t *testing.T) {
 }
 
 // TestSetCacheDirUnusableDegrades: the facade contract is degrade-to-compute,
-// never fail — an unusable dir errors from SetCacheDir but Simulate with the
-// same CacheDir still runs.
+// never fail — an unusable dir errors from SetCacheDir but SimulateContext
+// with the same CacheDir still runs.
 func TestSetCacheDirUnusableDegrades(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "not-a-dir")
 	// Make the path unusable by occupying it with a file.
@@ -67,12 +68,12 @@ func TestSetCacheDirUnusableDegrades(t *testing.T) {
 	if err := SetCacheDir(bad, 0); err == nil {
 		t.Fatal("SetCacheDir succeeded on a file path")
 	}
-	res, err := Simulate(Config{
+	res, err := SimulateContext(context.Background(), Config{
 		Workload: "xz", Scheme: Unprotected, Cores: 2,
 		AccessesPerCore: 2000, Seed: 1, CacheDir: bad,
 	})
 	if err != nil {
-		t.Fatalf("Simulate failed instead of degrading to compute-only: %v", err)
+		t.Fatalf("SimulateContext failed instead of degrading to compute-only: %v", err)
 	}
 	if res.SimTimeNS <= 0 {
 		t.Errorf("degraded run produced no simulation: %+v", res)

@@ -1,13 +1,14 @@
 package dream
 
 import (
+	"context"
 	"testing"
 )
 
 func TestSchemesAllSimulate(t *testing.T) {
 	// Every built-in scheme must run a small configuration end to end.
 	for _, id := range Schemes() {
-		res, err := Simulate(Config{
+		res, err := SimulateContext(context.Background(), Config{
 			Workload:        "xz",
 			Scheme:          id,
 			TRH:             2000,
@@ -26,13 +27,14 @@ func TestSchemesAllSimulate(t *testing.T) {
 }
 
 func TestUnknownScheme(t *testing.T) {
-	if _, err := Simulate(Config{Workload: "xz", Scheme: "bogus"}); err == nil {
+	_, err := SimulateContext(context.Background(), Config{Workload: "xz", Scheme: "bogus"})
+	if err == nil {
 		t.Error("unknown scheme should fail")
 	}
 }
 
 func TestCompareReportsSlowdown(t *testing.T) {
-	base, res, slowdown, err := Compare(Config{
+	base, res, slowdown, err := CompareContext(context.Background(), Config{
 		Workload:        "bc",
 		Scheme:          PARADRFMab,
 		TRH:             500,
@@ -53,7 +55,7 @@ func TestCompareReportsSlowdown(t *testing.T) {
 
 func TestAttackFacade(t *testing.T) {
 	// The unprotected baseline must breach; DREAM-R must not.
-	unprot, err := Attack(AttackConfig{
+	unprot, err := AttackContext(context.Background(), AttackConfig{
 		Kind: AttackDoubleSided, Scheme: Unprotected, TRH: 1000, Acts: 60_000,
 	})
 	if err != nil {
@@ -62,7 +64,7 @@ func TestAttackFacade(t *testing.T) {
 	if !unprot.Breached {
 		t.Errorf("unprotected run must breach: max victim %d", unprot.MaxVictim)
 	}
-	prot, err := Attack(AttackConfig{
+	prot, err := AttackContext(context.Background(), AttackConfig{
 		Kind: AttackDoubleSided, Scheme: DreamRMINT, TRH: 1000, Acts: 60_000,
 	})
 	if err != nil {
@@ -97,29 +99,3 @@ func TestWorkloadsExposed(t *testing.T) {
 		t.Errorf("workloads = %d", len(Workloads()))
 	}
 }
-
-func TestSimulateCustom(t *testing.T) {
-	type nop struct{ Mitigator }
-	res, err := SimulateCustom(Config{
-		Workload: "xz", Cores: 2, AccessesPerCore: 2000, Seed: 1,
-	}, func(sub int) Mitigator {
-		return noneMit{}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IPCSum() <= 0 {
-		t.Error("custom run produced no IPC")
-	}
-	_ = nop{}
-}
-
-// noneMit is a minimal custom Mitigator for the facade test.
-type noneMit struct{}
-
-func (noneMit) Name() string                                       { return "none-custom" }
-func (noneMit) OnActivate(now Tick, bank int, row uint32) Decision { return Decision{} }
-func (noneMit) OnSampled(now Tick, bank int, row uint32)           {}
-func (noneMit) OnMitigations(now Tick, mits []Mitigation)          {}
-func (noneMit) OnRefresh(now Tick, refIndex uint64) []Op           { return nil }
-func (noneMit) StorageBits() int64                                 { return 0 }

@@ -10,7 +10,7 @@
 // event distance in the DREAM model (tREFI = 46800 ticks), so the overflow
 // heap is a rarely-exercised safety net rather than a hot path.
 //
-// Events are totally ordered by (At, Kind, A, B); PopBatch returns every
+// Events are totally ordered by (At, Kind, A, B); PopNextBefore returns every
 // event of one tick already sorted, which is what lets the system engine
 // deliver same-tick completions as one batch and run per-tick bookkeeping
 // once per tick instead of once per event.
@@ -175,51 +175,12 @@ func (w *Wheel) firstSlot() int {
 	return wi<<6 + bits.TrailingZeros64(w.occ[wi])
 }
 
-// NextAt reports the earliest queued event time. It may rebase the window
-// onto the overflow heap when the wheel proper is empty.
-func (w *Wheel) NextAt() (int64, bool) {
-	for {
-		if i := w.firstSlot(); i >= 0 {
-			min := w.slots[i][0].At // slot heaps: s[0] is the minimum
-			if min < w.floor {
-				min = w.floor // clamped past-events fire at the floor tick
-			}
-			return min, true
-		}
-		if len(w.over) == 0 {
-			return 0, false
-		}
-		w.rebase(w.over[0].At)
-	}
-}
-
-// PopNext finds the earliest event time and pops that tick's whole batch in
-// one call — one slot search and one scan where separate NextAt + PopBatch
-// calls would do both twice. The batch is appended to buf in (Kind, A, B)
-// order; ok is false when the queue is empty.
-func (w *Wheel) PopNext(buf []Event) (batch []Event, at int64, ok bool) {
-	var slot int
-	for {
-		if slot = w.firstSlot(); slot >= 0 {
-			break
-		}
-		if len(w.over) == 0 {
-			return buf, 0, false
-		}
-		w.rebase(w.over[0].At)
-	}
-	at = w.slots[slot][0].At // slot heaps: s[0] is the minimum
-	if at < w.floor {
-		at = w.floor // clamped past-events fire at the floor tick
-	}
-	return w.extract(slot, at, buf), at, true
-}
-
-// PopNextBefore is PopNext bounded by limit: when the earliest queued event
-// fires at or before limit, it pops that tick's whole batch exactly like
-// PopNext; otherwise it extracts nothing and reports ok=false, leaving the
-// queue untouched. It lets a caller that already knows an earlier deadline
-// (the engine's controller-wake scan) test and pop in one slot search.
+// PopNextBefore finds the earliest queued event time and, when it is at or
+// before limit, pops that tick's whole batch, appended to buf in (Kind, A, B)
+// order. Otherwise it extracts nothing and reports ok=false, leaving the
+// queue untouched. A caller that already knows an earlier deadline (the
+// engine's controller-wake scan) tests and pops in one slot search; an
+// unbounded pop passes math.MaxInt64.
 func (w *Wheel) PopNextBefore(limit int64, buf []Event) (batch []Event, at int64, ok bool) {
 	var slot int
 	for {
@@ -241,30 +202,6 @@ func (w *Wheel) PopNextBefore(limit int64, buf []Event) (batch []Event, at int64
 	return w.extract(slot, at, buf), at, true
 }
 
-// Remove deletes one previously pushed, not-yet-popped event (all four
-// fields must match; duplicates lose one copy). It reports whether the event
-// was found. The caller must not have let the event's tick pop already, and
-// the event must not have been clamped on Push (At >= the floor at push
-// time) — both hold for the engine's wake events, which are never scheduled
-// into the past and are removed only while still pending.
-func (w *Wheel) Remove(e Event) bool {
-	if e.At >= w.base+span {
-		return w.over.remove(e)
-	}
-	idx := int(e.At>>slotBits) & slotMask
-	if !w.slots[idx].remove(e) {
-		return false
-	}
-	if len(w.slots[idx]) == 0 {
-		w.occ[idx>>6] &^= 1 << (idx & 63)
-		if w.occ[idx>>6] == 0 {
-			w.occSum[idx>>12] &^= 1 << ((idx >> 6) & 63)
-		}
-	}
-	w.count--
-	return true
-}
-
 // rebase advances the window start to (slot-aligned) at and migrates every
 // overflow event that now falls inside the window into the wheel.
 func (w *Wheel) rebase(at int64) {
@@ -275,13 +212,6 @@ func (w *Wheel) rebase(at int64) {
 	for len(w.over) > 0 && w.over[0].At < w.base+span {
 		w.Push(w.over.pop())
 	}
-}
-
-// PopBatch removes and returns every event with At == at, appended to buf in
-// (Kind, A, B) order. at must be the value reported by NextAt. The window
-// base advances to at, draining newly-near overflow events.
-func (w *Wheel) PopBatch(at int64, buf []Event) []Event {
-	return w.extract(int(at>>slotBits)&slotMask, at, buf)
 }
 
 // extract pops every event with At <= at (clamped past-events fire with the
@@ -340,52 +270,6 @@ func (h *evHeap) push(e Event) {
 	*h = append(*h, e)
 	s := *h
 	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !Less(s[i], s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-// remove deletes one exact copy of e, restoring the heap property, and
-// reports whether it was found.
-func (h *evHeap) remove(e Event) bool {
-	s := *h
-	for i := range s {
-		if s[i] == e {
-			last := len(s) - 1
-			s[i] = s[last]
-			*h = s[:last]
-			if i < last {
-				h.fix(i)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// fix restores the heap property around index i after an in-place swap.
-func (h *evHeap) fix(i int) {
-	s := *h
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(s) && Less(s[l], s[small]) {
-			small = l
-		}
-		if r < len(s) && Less(s[r], s[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
 	for i > 0 {
 		p := (i - 1) / 2
 		if !Less(s[i], s[p]) {

@@ -1,10 +1,14 @@
 package evq
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 )
+
+// noLimit makes PopNextBefore an unbounded pop of the earliest tick.
+const noLimit = math.MaxInt64
 
 // refQueue is the trivially-correct reference: a sorted-on-demand slice
 // popped in (At, Kind, A, B) order, batched per tick.
@@ -51,27 +55,16 @@ func (r *refQueue) popBatch(at int64) []Event {
 // driveAgainstReference pushes a random schedule into both queues and pops
 // everything, asserting identical batch sequences. Far-future inserts
 // exercise the overflow heap; duplicate (At, Kind, A, B) tuples and dense
-// same-tick groups exercise batch ordering; random Remove calls on
-// still-queued events and alternation between the NextAt+PopBatch and
-// PopNext APIs exercise the engine's exact-wake protocol.
+// same-tick groups exercise batch ordering. Every pop is bounded the way the
+// engine bounds it: with t the reference's next event time,
+// PopNextBefore(t-1) must pop nothing and PopNextBefore(t) must pop exactly
+// the reference's batch for t.
 func driveAgainstReference(t *testing.T, seed int64, ops int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	w := NewWheel(0)
 	ref := &refQueue{}
 	now := int64(0)
-	// live tracks unclamped pushes not yet popped or removed — the events
-	// Remove is specified for (never scheduled into the past, still pending).
-	var live []Event
-	dropLive := func(e Event) {
-		for i := range live {
-			if live[i] == e {
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-				return
-			}
-		}
-	}
 
 	randEvent := func() Event {
 		at := now
@@ -92,95 +85,54 @@ func driveAgainstReference(t *testing.T, seed int64, ops int) {
 		}
 	}
 
+	// popRef pops the reference's next tick from the wheel and compares the
+	// batches; it reports false once both queues are empty.
 	var buf []Event
+	popRef := func(op int) bool {
+		rAt, rOK := ref.nextAt()
+		if !rOK {
+			if b, at, ok := w.PopNextBefore(noLimit, buf[:0]); ok {
+				t.Fatalf("op %d: reference empty, wheel popped %d events at %d", op, len(b), at)
+			}
+			return false
+		}
+		if _, _, ok := w.PopNextBefore(rAt-1, buf[:0]); ok {
+			t.Fatalf("op %d: PopNextBefore(%d) popped below the earliest event %d", op, rAt-1, rAt)
+		}
+		var at int64
+		var ok bool
+		buf, at, ok = w.PopNextBefore(rAt, buf[:0])
+		if !ok || at != rAt {
+			t.Fatalf("op %d: PopNextBefore(%d) = (%d,%v)", op, rAt, at, ok)
+		}
+		want := ref.popBatch(rAt)
+		if len(buf) != len(want) {
+			t.Fatalf("op %d tick %d: batch len %d, ref %d", op, rAt, len(buf), len(want))
+		}
+		for j := range buf {
+			got := buf[j]
+			got.At = rAt // clamped events keep their original At in the wheel
+			if got != want[j] {
+				t.Fatalf("op %d tick %d batch[%d]: %+v, ref %+v", op, rAt, j, got, want[j])
+			}
+		}
+		now = rAt
+		return true
+	}
+
 	for i := 0; i < ops; i++ {
 		for n := rng.Intn(4); n >= 0; n-- {
 			e := randEvent()
 			w.Push(e)
 			ref.push(e, now)
-			if e.At >= now {
-				live = append(live, e)
-			}
-		}
-		if len(live) > 0 && rng.Intn(4) == 0 {
-			e := live[rng.Intn(len(live))]
-			dropLive(e)
-			if !w.Remove(e) {
-				t.Fatalf("op %d: Remove(%+v) did not find the event", i, e)
-			}
-			for j := range ref.events {
-				if ref.events[j] == e {
-					ref.events = append(ref.events[:j], ref.events[j+1:]...)
-					break
-				}
-			}
 		}
 		if w.Len() != len(ref.events) {
 			t.Fatalf("op %d: Len = %d, ref %d", i, w.Len(), len(ref.events))
 		}
-		wAt, wOK := w.NextAt()
-		rAt, rOK := ref.nextAt()
-		if wOK != rOK || (wOK && wAt != rAt) {
-			t.Fatalf("op %d: NextAt = (%d,%v), ref (%d,%v)", i, wAt, wOK, rAt, rOK)
-		}
-		if !wOK {
-			continue
-		}
-		switch rng.Intn(3) {
-		case 0:
-			buf = w.PopBatch(wAt, buf[:0])
-		case 1:
-			var at int64
-			var ok bool
-			buf, at, ok = w.PopNext(buf[:0])
-			if !ok || at != wAt {
-				t.Fatalf("op %d: PopNext = (%d,%v), NextAt said %d", i, at, ok, wAt)
-			}
-		default:
-			if _, _, ok := w.PopNextBefore(wAt-1, buf[:0]); ok {
-				t.Fatalf("op %d: PopNextBefore(%d) popped below the earliest event %d", i, wAt-1, wAt)
-			}
-			var at int64
-			var ok bool
-			buf, at, ok = w.PopNextBefore(wAt, buf[:0])
-			if !ok || at != wAt {
-				t.Fatalf("op %d: PopNextBefore(%d) = (%d,%v)", i, wAt, at, ok)
-			}
-		}
-		for _, e := range buf {
-			dropLive(e)
-		}
-		want := ref.popBatch(rAt)
-		if len(buf) != len(want) {
-			t.Fatalf("op %d tick %d: batch len %d, ref %d", i, wAt, len(buf), len(want))
-		}
-		for j := range buf {
-			got := buf[j]
-			got.At = wAt // clamped events keep their original At in the wheel
-			if got != want[j] {
-				t.Fatalf("op %d tick %d batch[%d]: %+v, ref %+v", i, wAt, j, got, want[j])
-			}
-		}
-		now = wAt
+		popRef(i)
 	}
 	// Drain both to empty.
-	for {
-		wAt, wOK := w.NextAt()
-		rAt, rOK := ref.nextAt()
-		if wOK != rOK {
-			t.Fatalf("drain: NextAt ok %v, ref %v", wOK, rOK)
-		}
-		if !wOK {
-			break
-		}
-		if wAt != rAt {
-			t.Fatalf("drain: NextAt %d, ref %d", wAt, rAt)
-		}
-		got := w.PopBatch(wAt, nil)
-		want := ref.popBatch(rAt)
-		if len(got) != len(want) {
-			t.Fatalf("drain tick %d: batch len %d, ref %d", wAt, len(got), len(want))
-		}
+	for popRef(ops) {
 	}
 	if w.Len() != 0 {
 		t.Fatalf("wheel not empty after drain: %d", w.Len())
@@ -201,20 +153,19 @@ func TestWheelOverflowRebase(t *testing.T) {
 	}
 	prev := int64(-1)
 	for i := 0; i < 100; i++ {
-		at, ok := w.NextAt()
+		b, at, ok := w.PopNextBefore(noLimit, nil)
 		if !ok {
 			t.Fatalf("pop %d: empty", i)
 		}
 		if at <= prev {
 			t.Fatalf("pop %d: non-monotone %d after %d", i, at, prev)
 		}
-		b := w.PopBatch(at, nil)
 		if len(b) != 1 || b[0].A != int32(i) {
 			t.Fatalf("pop %d: batch %+v", i, b)
 		}
 		prev = at
 	}
-	if _, ok := w.NextAt(); ok {
+	if _, _, ok := w.PopNextBefore(noLimit, nil); ok {
 		t.Fatal("wheel should be empty")
 	}
 }
@@ -232,7 +183,7 @@ func TestWheelSameTickOrder(t *testing.T) {
 	for _, e := range evs {
 		w.Push(e)
 	}
-	b := w.PopBatch(100, nil)
+	b, _, _ := w.PopNextBefore(100, nil)
 	if len(b) != len(evs) {
 		t.Fatalf("batch len %d", len(b))
 	}
@@ -240,50 +191,6 @@ func TestWheelSameTickOrder(t *testing.T) {
 		if !Less(b[i-1], b[i]) {
 			t.Fatalf("batch out of order at %d: %+v before %+v", i, b[i-1], b[i])
 		}
-	}
-}
-
-// TestWheelRemoveOverflow removes events that still live in the overflow
-// heap (At beyond the window), including interior heap positions, and checks
-// the survivors drain in order with correct counts.
-func TestWheelRemoveOverflow(t *testing.T) {
-	w := NewWheel(0)
-	var evs []Event
-	for i := 0; i < 16; i++ {
-		e := Event{At: span + int64(i)*1000, A: int32(i)}
-		evs = append(evs, e)
-		w.Push(e)
-	}
-	// Remove interior (A=5), root (A=0, the overflow minimum), and tail
-	// (A=15) entries — the three removal positions a heap distinguishes.
-	for _, i := range []int{5, 0, 15} {
-		if !w.Remove(evs[i]) {
-			t.Fatalf("Remove(overflow A=%d) not found", i)
-		}
-	}
-	if w.Remove(evs[5]) {
-		t.Fatal("double Remove of an overflow event reported found")
-	}
-	if w.Len() != 13 {
-		t.Fatalf("Len = %d after removals, want 13", w.Len())
-	}
-	removed := map[int32]bool{5: true, 0: true, 15: true}
-	prev := int64(-1)
-	for i := 0; i < 13; i++ {
-		b, at, ok := w.PopNext(nil)
-		if !ok || len(b) != 1 {
-			t.Fatalf("pop %d: ok=%v batch=%v", i, ok, b)
-		}
-		if at <= prev {
-			t.Fatalf("pop %d: non-monotone %d after %d", i, at, prev)
-		}
-		if removed[b[0].A] {
-			t.Fatalf("pop %d: removed event A=%d resurfaced", i, b[0].A)
-		}
-		prev = at
-	}
-	if _, _, ok := w.PopNext(nil); ok {
-		t.Fatal("wheel should be empty")
 	}
 }
 
@@ -303,7 +210,7 @@ func TestWheelPopAcrossWrap(t *testing.T) {
 		}
 		prev := now - 1
 		for i := 0; i < 8; i++ {
-			b, at, ok := w.PopNext(nil)
+			b, at, ok := w.PopNextBefore(noLimit, nil)
 			if !ok {
 				t.Fatalf("lap %d pop %d: empty", lap, i)
 			}
@@ -322,49 +229,10 @@ func TestWheelPopAcrossWrap(t *testing.T) {
 	}
 }
 
-// TestWheelWrapRemoveInterleave interleaves Remove with pops while the
-// window repeatedly wraps: events pushed near the boundary share slot
-// indices with events a full span later, so a stale occupancy bit or count
-// after Remove shows up as a wrong NextAt or a lost event.
-func TestWheelWrapRemoveInterleave(t *testing.T) {
-	w := NewWheel(0)
-	now := int64(0)
-	for lap := 0; lap < 4; lap++ {
-		var evs []Event
-		for i := 0; i < 6; i++ {
-			e := Event{At: now + span - 256 + int64(i)*256, A: int32(i), B: uint64(lap)}
-			evs = append(evs, e)
-			w.Push(e)
-		}
-		// Remove the two that map to the same slots the next lap will reuse.
-		if !w.Remove(evs[1]) || !w.Remove(evs[4]) {
-			t.Fatalf("lap %d: Remove failed", lap)
-		}
-		prev := now - 1
-		for _, want := range []int32{0, 2, 3, 5} {
-			b, at, ok := w.PopNext(nil)
-			if !ok || len(b) != 1 {
-				t.Fatalf("lap %d: pop ok=%v batch=%v", lap, ok, b)
-			}
-			if b[0].A != want {
-				t.Fatalf("lap %d: popped A=%d, want %d", lap, b[0].A, want)
-			}
-			if at <= prev {
-				t.Fatalf("lap %d: non-monotone %d after %d", lap, at, prev)
-			}
-			prev = at
-		}
-		now = prev
-	}
-	if w.Len() != 0 {
-		t.Fatalf("wheel not empty: %d", w.Len())
-	}
-}
-
 // TestWheelPopNextBefore pins the bounded pop: a limit below the earliest
 // event must leave the queue untouched (including when the earliest event
 // sits in the overflow heap — no premature rebase past the limit), and a
-// limit at or above it must behave exactly like PopNext.
+// limit at or above it must pop the earliest tick's whole batch.
 func TestWheelPopNextBefore(t *testing.T) {
 	w := NewWheel(0)
 	w.Push(Event{At: 500, A: 1})
@@ -380,7 +248,7 @@ func TestWheelPopNextBefore(t *testing.T) {
 	if !ok || at != 500 || len(b) != 2 || b[0].A != 1 || b[1].A != 2 {
 		t.Fatalf("PopNextBefore(500) = %v,%d,%v", b, at, ok)
 	}
-	b, at, ok = w.PopNextBefore(1<<40, nil)
+	b, at, ok = w.PopNextBefore(noLimit, nil)
 	if !ok || at != 700 || len(b) != 1 || b[0].A != 3 {
 		t.Fatalf("PopNextBefore(inf) = %v,%d,%v", b, at, ok)
 	}

@@ -170,8 +170,7 @@ func TestMitigatedRunsDiskCached(t *testing.T) {
 }
 
 // TestImpureSchemesBypassDiskCache: a scheme that does not declare purity
-// (the facade's custom schemes) must never be served from or written to the
-// mitigated tier.
+// must never be served from or written to the mitigated tier.
 func TestImpureSchemesBypassDiskCache(t *testing.T) {
 	withDiskCache(t, func(dir string) {
 		sc := MINTWith(tracker.ModeDRFMsb)

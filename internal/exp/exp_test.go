@@ -83,19 +83,6 @@ func TestRunBasic(t *testing.T) {
 	}
 }
 
-func TestRunPairSlowdownPositive(t *testing.T) {
-	_, _, slowdown, err := RunPair(RunConfig{
-		Workload: "bc", Cores: 4, AccessesPerCore: 8000, TRH: 500,
-		Scheme: PARAWith(tracker.ModeDRFMab), Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slowdown <= 0 {
-		t.Errorf("PARA+DRFMab at T_RH=500 should slow bc down, got %v", slowdown)
-	}
-}
-
 func TestScaleFromBase(t *testing.T) {
 	if got := scaleFromBase(32e6); got != 1 {
 		t.Errorf("full window scale = %v", got)

@@ -59,7 +59,8 @@ type Scheme struct {
 	// Name bakes in every constructor parameter — i.e. two schemes with the
 	// same Name behave identically given the same Env. Only Pure schemes
 	// qualify for mitigated-run memoization (mitKey); the built-in
-	// constructors in schemes.go all set it, facade custom schemes never do.
+	// constructors in schemes.go and SchemeByName set it on every scheme
+	// with a Build.
 	Pure bool
 }
 
@@ -236,30 +237,6 @@ func SetDefaultMetrics(o *obs.Options) (prev *obs.Options) {
 	return defaultMetrics.Swap(o)
 }
 
-// defaultLegacyEngine routes every subsequent simulation through the legacy
-// scan-everything event loop (the CLIs' -engine=legacy). It rides the same
-// legacyEngine path the equivalence tests use, so legacy-engine runs bypass
-// the run cache and an engine A/B always times a real simulation instead of
-// replaying a memoized result.
-var defaultLegacyEngine atomic.Bool
-
-// SetLegacyEngine selects the legacy event loop (true) or the default
-// timing-wheel loop (false) for every subsequent Run, returning the previous
-// setting. Both engines are bit-identical (TestEngineEquivalence*); the
-// switch exists for equivalence checks and engine A/B benchmarks.
-func SetLegacyEngine(on bool) (was bool) { return defaultLegacyEngine.Swap(on) }
-
-// defaultParallelSub turns on parallel sub-channel execution
-// (system.Config.ParallelSubChannels) for every subsequent Run.
-var defaultParallelSub atomic.Bool
-
-// SetParallelSubChannels toggles parallel sub-channel controller execution
-// for every subsequent Run and returns the previous setting. The parallel
-// pass is bit-identical to the serial one (TestParallelSubChannelEquivalence)
-// — it changes only wall-clock, and only helps when GOMAXPROCS > 1 — so it
-// never affects cacheability or results.
-func SetParallelSubChannels(on bool) (was bool) { return defaultParallelSub.Swap(on) }
-
 // traceKey builds the cache identity of cfg's trace set, and whether the
 // config is cacheable at all (explicit Traces are not).
 func (cfg RunConfig) traceKey() (runcache.TraceKey, bool) {
@@ -295,8 +272,8 @@ func (cfg RunConfig) runKey() (runcache.RunKey, bool) {
 // machineKey builds the scheme-independent machine identity shared by
 // runKey and mitKey: the trace plus every knob that shapes the simulated
 // machine. It rejects metrics-bearing and legacy-path runs (metrics runs
-// must actually simulate to emit anything; legacy paths exist to be timed
-// and diffed, not replayed).
+// must actually simulate to emit anything; the legacy reference paths exist
+// to be diffed, not replayed).
 func (cfg RunConfig) machineKey() (runcache.RunKey, bool) {
 	tk, ok := cfg.traceKey()
 	if !ok || cfg.Metrics != nil || cfg.legacySched || cfg.legacyEngine {
@@ -489,7 +466,7 @@ func Run(cfg RunConfig) (stats.RunResult, error) {
 }
 
 // normalized applies Run's documented zero-value defaults and the
-// process-wide metrics/engine settings. It is shared by Run and the cache
+// process-wide metrics setting. It is shared by Run and the cache
 // probe path (ProbeCell), which must key the cache with exactly the
 // configuration Run would execute.
 func (cfg RunConfig) normalized() RunConfig {
@@ -514,9 +491,6 @@ func (cfg RunConfig) normalized() RunConfig {
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = defaultMetrics.Load()
-	}
-	if defaultLegacyEngine.Load() {
-		cfg.legacyEngine = true
 	}
 	return cfg
 }
@@ -593,7 +567,6 @@ func runUncached(cfg RunConfig, attempt int) (res stats.RunResult, err error) {
 	if cfg.legacyEngine {
 		sysCfg.Engine = system.EngineLegacy
 	}
-	sysCfg.ParallelSubChannels = defaultParallelSub.Load()
 	sysCfg.MaxTime = cfg.MaxTime
 
 	resetPeriod := uint64(float64(8192) * cfg.WindowScale)
@@ -755,23 +728,6 @@ func collect(cfg RunConfig, sys *system.System) stats.RunResult {
 		r.MPKI = float64(sys.LLC().Misses) / float64(retired) * 1000
 	}
 	return r
-}
-
-// RunPair runs the unprotected baseline and a scheme on identical traces
-// and reports (base, scheme, slowdown).
-func RunPair(cfg RunConfig) (base, scheme stats.RunResult, slowdown float64, err error) {
-	baseCfg := cfg
-	baseCfg.Scheme = Scheme{Name: "base"}
-	base, err = Run(baseCfg)
-	if err != nil {
-		return
-	}
-	scheme, err = Run(cfg)
-	if err != nil {
-		return
-	}
-	slowdown = stats.Slowdown(base, scheme)
-	return
 }
 
 // --- shared worker pool -----------------------------------------------------

@@ -22,12 +22,14 @@ import (
 //
 // Protocol invariants (documented for operators in DESIGN.md):
 //
-//   - The winning lease for a cell is the LAST lease record for it in file
-//     order (ignoring leases appended after a completion). A shard claims by
-//     appending a lease with fence = previous winning fence + 1, then
-//     re-reading the file: it owns the cell only if its record is still the
-//     winning lease. Two shards racing an expired lease both append; file
-//     order arbitrates, no coordinator needed.
+//   - The winning lease for a cell is the FIRST lease record in file order
+//     at the highest fence (ignoring leases appended after a completion): a
+//     lease replaces the winner only with a strictly higher fence. A shard
+//     claims by appending a lease with fence = previous winning fence + 1,
+//     then re-reading the file: it owns the cell only if its record is the
+//     winning lease. Two shards racing for one cell both append the same
+//     fence; the earlier append wins and the later one reads itself as
+//     the loser, so a claim is exclusive without a coordinator.
 //   - A completion record is accepted only if its (owner, fence) pair equals
 //     the cell's winning lease — a zombie shard resuming after its lease
 //     expired and was stolen writes a completion that every reader discards
@@ -35,10 +37,11 @@ import (
 //   - Leases carry a wall-clock deadline. An expired lease is reclaimable:
 //     a crashed shard loses at most its leased cells to the timeout, never
 //     the campaign.
-//   - Execution is at-least-once (a lost claim race or a stolen lease can
-//     run a cell twice), merging is at-most-once (first completion in file
-//     order wins, duplicates are dropped). Cells are deterministic, so
-//     duplicated execution burns time but never correctness.
+//   - Execution is at-least-once (a stolen lease can run a cell twice: the
+//     expired owner may still be computing; a lost claim race never does),
+//     merging is at-most-once (first completion in file order wins,
+//     duplicates are dropped). Cells are deterministic, so duplicated
+//     execution burns time but never correctness.
 //   - A torn or corrupt line (kill mid-write; at most one more line glued to
 //     it by the next appender) is skipped leniently: the lost record is a
 //     lease (re-claimed after expiry) or a completion (cell re-executed),
@@ -197,6 +200,9 @@ func (l *Ledger) applyLocked(rec *LeaseRecord) {
 		if st.done != nil {
 			return // completed cell: a late lease is meaningless
 		}
+		if st.lease != nil && rec.Fence <= st.lease.Fence {
+			return // lost the claim race: the first lease at a fence wins
+		}
 		st.lease = rec
 	case leaseTypeDone:
 		if st.done != nil {
@@ -232,9 +238,9 @@ func (l *Ledger) appendLocked(rec LeaseRecord, sync bool) error {
 // Claim leases the lowest-indexed claimable cell in [0, n): not completed,
 // not under a live lease, and accepted by eligible (nil = all). It appends a
 // lease with fence = winning fence + 1, re-reads the file, and only reports
-// ownership if its record survived as the winning lease — losing the append
-// race to another shard simply moves on to the next cell. stolen reports
-// that the claim superseded another owner's expired lease.
+// ownership if its record is the winning lease — losing the append race to
+// another shard simply moves on to the next cell. stolen reports that the
+// claim superseded another owner's expired lease.
 func (l *Ledger) Claim(n int, ttl time.Duration, eligible func(cell int) bool) (cell int, fence int64, stolen bool, ok bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

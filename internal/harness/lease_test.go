@@ -219,3 +219,59 @@ func TestLedgerSkipsCorruptLines(t *testing.T) {
 		t.Fatalf("DoneCount = %d, want 2 (corrupt line skipped, later records intact)", got)
 	}
 }
+
+// appendRaw writes ledger records straight to the file, bypassing Claim's
+// refresh, so a test can stage the interleaving of a claim race exactly.
+func appendRaw(t *testing.T, path string, recs ...LeaseRecord) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, rec := range recs {
+		rec.SchemaVersion = LeaseSchemaVersion
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(append(b, '\n')); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLedgerFirstLeaseAtFenceWins stages the claim race two shards run when
+// both append fence 1 for one cell before either re-reads the file. The
+// earlier lease must win for every reader, so only its owner's completion is
+// accepted: the later claimant reads itself as the loser and never runs the
+// cell.
+func TestLedgerFirstLeaseAtFenceWins(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.leases.jsonl")
+	a := openTestLedger(t, path, "shard-a")
+	b := openTestLedger(t, path, "shard-b")
+	deadline := time.Now().Add(time.Hour).UnixMilli()
+	appendRaw(t, path,
+		LeaseRecord{Type: leaseTypeLease, Cell: 0, Owner: "shard-a", Fence: 1, DeadlineMS: deadline},
+		LeaseRecord{Type: leaseTypeLease, Cell: 0, Owner: "shard-b", Fence: 1, DeadlineMS: deadline})
+
+	// The loser completes first in file order; its completion is fenced out.
+	if err := b.Complete(0, 1, LeaseStatusOK, "", []byte(`{"owner":"b"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Complete(0, 1, LeaseStatusOK, "", []byte(`{"owner":"a"}`)); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []*Ledger{a, b, openTestLedger(t, path, "verifier")} {
+		if err := l.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		rec, ok := l.Done(0)
+		if !ok || rec.Owner != "shard-a" || string(rec.Result) != `{"owner":"a"}` {
+			t.Fatalf("%s reads completion %+v (ok=%v), want shard-a's", l.Owner(), rec, ok)
+		}
+		if got := l.RejectedCompletions(); got != 1 {
+			t.Fatalf("%s rejected %d completions, want 1 (shard-b's)", l.Owner(), got)
+		}
+	}
+}

@@ -261,6 +261,11 @@ func TestCampaignClientRetryRounds(t *testing.T) {
 // partitions execution, and the merged results are identical to in-process
 // execution.
 func TestCampaignTwoShardsWorkSteal(t *testing.T) {
+	// Start from an empty run cache: the in-process comparison below fills
+	// it, and a repeat (-count) would otherwise serve every cell from memory
+	// instead of leasing it.
+	exp.ResetCache()
+	t.Cleanup(exp.ResetCache)
 	campDir := t.TempDir()
 	s1 := startService(t, Options{Workers: 2, QueueDepth: 8, CampaignDir: campDir, ShardID: "shard-1"})
 	s2 := startService(t, Options{Workers: 2, QueueDepth: 8, CampaignDir: campDir, ShardID: "shard-2"})

@@ -101,26 +101,31 @@ func TestHTTPSimulateCacheHitAndWarmRestart(t *testing.T) {
 	}
 }
 
+// TestHTTPValidationRejects: malformed requests fail validation with 400
+// before admission, so they take no queue slot, breaker token or journal
+// entry.
 func TestHTTPValidationRejects(t *testing.T) {
-	ts, _ := newTestServer(t, Options{Workers: 1})
+	ts, s := newTestServer(t, Options{Workers: 1})
 	cases := []struct {
-		name, body string
+		name, path, body string
 	}{
-		{"unknown scheme", `{"workload":"xz","scheme":"nope"}`},
-		{"server-owned cache knob", `{"workload":"xz","scheme":"base","cachedir":"/tmp/x"}`},
-		{"unknown field", `{"workload":"xz","scheme":"base","bogus":1}`},
-		{"malformed json", `{"workload":`},
+		{"unknown scheme", "/v1/simulate", `{"workload":"xz","scheme":"nope"}`},
+		{"server-owned cache knob", "/v1/simulate", `{"workload":"xz","scheme":"base","cachedir":"/tmp/x"}`},
+		{"unknown field", "/v1/simulate", `{"workload":"xz","scheme":"base","bogus":1}`},
+		{"malformed json", "/v1/simulate", `{"workload":`},
+		{"simulate without scheme", "/v1/simulate", `{"workload":"xz","cores":2,"accessespercore":2000}`},
+		{"compare without scheme", "/v1/compare", `{"workload":"xz","cores":2,"accessespercore":2000}`},
+		{"attack without scheme", "/v1/attack", `{"kind":"double-sided","cores":2,"acts":2000}`},
+		{"bad attack kind", "/v1/attack", `{"kind":"sideways","scheme":"base"}`},
 	}
 	for _, tc := range cases {
-		code, r, _ := post(t, ts.URL+"/v1/simulate", tc.body)
+		code, r, _ := post(t, ts.URL+tc.path, tc.body)
 		if code != http.StatusBadRequest || r.Error == nil || r.Error.Kind != "validation" {
 			t.Errorf("%s: got %d %+v, want 400 validation", tc.name, code, r.Error)
 		}
 	}
-	// Attacks validate too.
-	code, r, _ := post(t, ts.URL+"/v1/attack", `{"kind":"sideways"}`)
-	if code != http.StatusBadRequest || r.Error == nil {
-		t.Errorf("bad attack kind: got %d %+v", code, r)
+	if m := s.Snapshot(); m.Accepted != 0 || m.Failed != 0 {
+		t.Errorf("rejected requests reached admission: accepted %d, failed %d", m.Accepted, m.Failed)
 	}
 }
 

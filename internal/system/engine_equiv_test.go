@@ -96,7 +96,7 @@ func runEngine(t *testing.T, engine EngineKind, mitigated bool, wl string, seed 
 }
 
 // runEngineCfg is runEngine with a config hook applied before New, for the
-// fast-forward and parallel-sub-channel equivalence variants.
+// fast-forward equivalence variant.
 func runEngineCfg(t *testing.T, engine EngineKind, mitigated bool, wl string, seed uint64, mutate func(*Config)) (engineFingerprint, uint64, uint64) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -198,47 +198,6 @@ func TestFastForwardEquivalence(t *testing.T) {
 				t.Errorf("engine %v %s: fast-forward raised iterations %d -> %d",
 					engine, wl, offIters, onIters)
 			}
-		}
-	}
-}
-
-// TestParallelSubChannelEquivalence proves the parallel controller pass is
-// bit-identical to the serial one on both engines: same-tick controllers run
-// on goroutines between barriers, completions merge through the queue's total
-// (At, Kind, A, B) order, so goroutine scheduling cannot leak into the
-// simulation. Run under -race this is also the data-race proof for the
-// fork/join protocol.
-func TestParallelSubChannelEquivalence(t *testing.T) {
-	par := func(on bool) func(*Config) {
-		return func(cfg *Config) { cfg.ParallelSubChannels = on }
-	}
-	for _, engine := range []EngineKind{EngineLegacy, EngineWheel} {
-		for _, wl := range []string{"mcf", "bc"} {
-			serial, _, sevents := runEngineCfg(t, engine, true, wl, 31, par(false))
-			parallel, _, pevents := runEngineCfg(t, engine, true, wl, 31, par(true))
-			if !equalFP(serial, parallel) {
-				t.Errorf("engine %v %s: parallel pass diverged:\nserial   %+v\nparallel %+v",
-					engine, wl, serial, parallel)
-			}
-			if sevents != pevents {
-				t.Errorf("engine %v %s: event counts diverged: serial %d, parallel %d",
-					engine, wl, sevents, pevents)
-			}
-		}
-	}
-}
-
-// TestParallelSubChannelRepeatability runs the parallel path several times on
-// one input: any scheduling-dependent merge would eventually fingerprint
-// differently, so repeated equality (and equality with serial) is the
-// determinism check the barrier-merge design promises.
-func TestParallelSubChannelRepeatability(t *testing.T) {
-	ref, _, _ := runEngineCfg(t, EngineWheel, true, "omnetpp", 8, nil)
-	for i := 0; i < 4; i++ {
-		got, _, _ := runEngineCfg(t, EngineWheel, true, "omnetpp", 8,
-			func(cfg *Config) { cfg.ParallelSubChannels = true })
-		if !equalFP(ref, got) {
-			t.Fatalf("run %d: parallel result diverged from serial reference", i)
 		}
 	}
 }

@@ -7,7 +7,6 @@ package system
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/addrmap"
 	"repro/internal/cache"
@@ -75,16 +74,6 @@ type Config struct {
 	// default; EngineLegacy keeps the original loop for equivalence
 	// testing). Both produce identical simulations.
 	Engine EngineKind
-
-	// ParallelSubChannels runs controllers that are due at the same tick on
-	// their own goroutines (DDR5 sub-channels share no bank, queue, or
-	// mitigator state). Completions are buffered per controller and merged
-	// at the barrier, so the simulation stays bit-identical to the serial
-	// path regardless of goroutine scheduling. Requires NewMitigator to
-	// return independent instances (the defaults do). Ignored when Obs is
-	// attached: the epoch sampler reads cross-sub-channel state from the
-	// sub-0 refresh hook mid-tick, which the serial order defines.
-	ParallelSubChannels bool
 
 	// Obs, when non-nil, receives per-bank metrics from every controller
 	// and epoch samples from the event loop. Collection never alters the
@@ -190,17 +179,6 @@ type System struct {
 	wheel *evq.Wheel
 	batch []evq.Event
 
-	// Parallel sub-channel state (unused when parallel is false). compBuf
-	// holds per-controller completion buffers: during a parallel controller
-	// pass each worker appends only to its own buffer, and the barrier
-	// merges them in controller order.
-	parallel  bool
-	compBuf   [][]evq.Event
-	due       []int
-	parWakes  []Tick
-	parErrs   []error
-	parPanics []any
-
 	// Event-loop statistics (LoopStats).
 	iters  uint64
 	events uint64
@@ -242,10 +220,7 @@ func New(cfg Config, traces []cpu.Trace) (*System, error) {
 		if cfg.NewMitigator != nil {
 			mit = cfg.NewMitigator(sub)
 		}
-		sub := sub
-		ctrl, err := memctrl.New(cfg.CtrlCfg, dev, mit, func(core int, token uint64, done Tick) {
-			s.onDone(sub, core, token, done)
-		})
+		ctrl, err := memctrl.New(cfg.CtrlCfg, dev, mit, s.onDone)
 		if err != nil {
 			return nil, err
 		}
@@ -289,17 +264,6 @@ func New(cfg Config, traces []cpu.Trace) (*System, error) {
 	if cfg.Engine == EngineWheel {
 		s.wheel = evq.NewWheel(0)
 		s.batch = make([]evq.Event, 0, 64)
-	}
-	if cfg.ParallelSubChannels && cfg.Obs == nil && len(s.ctrls) > 1 {
-		s.parallel = true
-		s.compBuf = make([][]evq.Event, len(s.ctrls))
-		for i := range s.compBuf {
-			s.compBuf[i] = make([]evq.Event, 0, 32)
-		}
-		s.due = make([]int, 0, len(s.ctrls))
-		s.parWakes = make([]Tick, len(s.ctrls))
-		s.parErrs = make([]error, len(s.ctrls))
-		s.parPanics = make([]any, len(s.ctrls))
 	}
 	return s, nil
 }
@@ -351,14 +315,8 @@ func (s *System) enqueue(lineAddr uint64, when Tick, isWrite bool, core int, tok
 	}
 }
 
-// onDone receives demand-load completions from controller sub. Under
-// ParallelSubChannels it only appends to the controller's own buffer —
-// safe from the worker goroutine — and the barrier merges the buffers.
-func (s *System) onDone(sub, core int, token uint64, done Tick) {
-	if s.parallel {
-		s.compBuf[sub] = append(s.compBuf[sub], evq.Event{At: int64(done), Kind: evComplete, A: int32(core), B: token})
-		return
-	}
+// onDone receives demand-load completions from the controllers.
+func (s *System) onDone(core int, token uint64, done Tick) {
 	if s.wheel != nil {
 		s.wheel.Push(evq.Event{At: int64(done), Kind: evComplete, A: int32(core), B: token})
 		return
@@ -432,7 +390,7 @@ func (s *System) runLegacy() error {
 // token) order (the legacy heap order) and delivers it with targeted
 // finished checks, since a core can only finish inside its own Complete.
 // Controller wakes stay in the flat wakes array: with two sub-channels the
-// per-iteration scan is two compares, which beats the Remove/Push round
+// per-iteration scan is two compares, which beats the remove-and-push round
 // trips that keeping wakes as queue events would cost on every lowered
 // wake. Earlier versions queued wakes as events (armWake); profiles showed
 // the re-arm traffic and its allocations cost more than the scan it saved.
@@ -485,12 +443,9 @@ func (s *System) runWheel() error {
 	return nil
 }
 
-// processControllers runs every controller due at tick t, serially or — when
-// ParallelSubChannels is active — on one goroutine per due controller.
+// processControllers runs every controller due at tick t, in sub-channel
+// order.
 func (s *System) processControllers(t Tick) error {
-	if s.parallel {
-		return s.processControllersPar(t)
-	}
 	for i, ctrl := range s.ctrls {
 		if s.wakes[i] <= t {
 			s.events++
@@ -500,81 +455,6 @@ func (s *System) processControllers(t Tick) error {
 			}
 			s.wakes[i] = w
 		}
-	}
-	return nil
-}
-
-// processControllersPar is the parallel controller pass. Sub-channels share
-// no simulator state (disjoint devices, schedulers, queues, and mitigator
-// instances), so controllers due at the same tick run concurrently between
-// two barrier points: the fork after completion delivery and the join
-// before the next tick is chosen. Each worker writes only its own slots
-// (wake, error, panic value) and appends completions to its own compBuf
-// buffer; the join merges buffers in controller order into the event queue,
-// whose total (At, Kind, A, B) order fixes delivery order — so the merged
-// simulation is bit-identical to the serial pass no matter how the
-// goroutines interleave. Worker panics are re-raised and errors returned
-// by lowest controller index, keeping even failures deterministic.
-func (s *System) processControllersPar(t Tick) error {
-	due := s.due[:0]
-	for i := range s.ctrls {
-		if s.wakes[i] <= t {
-			due = append(due, i)
-		}
-	}
-	s.due = due
-	if len(due) == 0 {
-		return nil
-	}
-	s.events += uint64(len(due))
-	if len(due) == 1 {
-		i := due[0]
-		w, err := s.ctrls[i].Process(t)
-		if err != nil {
-			return err
-		}
-		s.wakes[i] = w
-	} else {
-		var wg sync.WaitGroup
-		run := func(i int) {
-			defer func() { s.parPanics[i] = recover() }()
-			s.parWakes[i], s.parErrs[i] = s.ctrls[i].Process(t)
-		}
-		for _, i := range due[1:] {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				run(i)
-			}(i)
-		}
-		run(due[0])
-		wg.Wait()
-		for _, i := range due {
-			if p := s.parPanics[i]; p != nil {
-				panic(p)
-			}
-		}
-		for _, i := range due {
-			if err := s.parErrs[i]; err != nil {
-				return err
-			}
-			s.wakes[i] = s.parWakes[i]
-		}
-	}
-	// Merge buffered completions in controller order. Push order is
-	// irrelevant to pop order (the queue's comparison is a total order),
-	// but a fixed merge order keeps the queue's internal layout — and any
-	// failure it might surface — deterministic too.
-	for i := range s.compBuf {
-		buf := s.compBuf[i]
-		for _, e := range buf {
-			if s.wheel != nil {
-				s.wheel.Push(e)
-			} else {
-				s.pending.push(completion{at: Tick(e.At), core: int(e.A), token: e.B})
-			}
-		}
-		s.compBuf[i] = buf[:0]
 	}
 	return nil
 }

@@ -11,11 +11,8 @@
 # BenchmarkMitigatedRun pre-warms the trace cache outside the timer, so its
 # cold iteration isolates the mitigated simulation itself.
 #
-# The header records GOMAXPROCS and the sub-channel parallelism setting
-# (BENCH_PARALLEL_SUBCHANNELS=1 turns system.Config.ParallelSubChannels on in
-# BenchmarkSystemRun), because both change only wall-clock, never results —
-# a number recorded at GOMAXPROCS=1 with parallelism on is measuring barrier
-# overhead, not speedup, and must be read as such.
+# The header records GOMAXPROCS, because it changes only wall-clock, never
+# results: the worker pool that runs a figure's cells sizes itself by it.
 #
 # It also records the persistent-cache mode (BENCH_CACHE_MODE, default
 # "cold"; set "warm" with BENCH_CACHE_DIR when timing disk-served reruns):
@@ -32,7 +29,6 @@ count=${1:-3}
 cd "$(dirname "$0")/.."
 
 gomaxprocs=${GOMAXPROCS:-$(nproc 2>/dev/null || echo unknown)}
-parsub=${BENCH_PARALLEL_SUBCHANNELS:-0}
 cachemode=${BENCH_CACHE_MODE:-cold}
 cachedir=${BENCH_CACHE_DIR:-}
 shards=${BENCH_SHARDS:-0}
@@ -45,7 +41,7 @@ out=$(go test -run '^$' -bench 'BenchmarkFig10$|BenchmarkFig19$|BenchmarkMitigat
 }
 
 echo "$out" | awk -v gover="$(go version | awk '{print $3}')" \
-	-v gomaxprocs="$gomaxprocs" -v parsub="$parsub" \
+	-v gomaxprocs="$gomaxprocs" \
 	-v cachemode="$cachemode" -v cachedir="$cachedir" \
 	-v shards="$shards" -v campdir="$campdir" '
 /^Benchmark/ {
@@ -65,7 +61,7 @@ echo "$out" | awk -v gover="$(go version | awk '{print $3}')" \
 	}
 }
 END {
-	printf "{\n  \"schema_version\": 1,\n  \"go\": \"%s\",\n  \"gomaxprocs\": \"%s\",\n  \"parallel_subchannels\": %s,\n  \"cache_mode\": \"%s\",\n  \"cache_dir\": \"%s\",\n  \"shards\": %s,\n  \"campaign_dir\": \"%s\",\n  \"benchtime\": \"1x (cold, cache reset per benchmark)\",\n", gover, gomaxprocs, (parsub == "1" ? "true" : "false"), cachemode, cachedir, shards, campdir
+	printf "{\n  \"schema_version\": 1,\n  \"go\": \"%s\",\n  \"gomaxprocs\": \"%s\",\n  \"cache_mode\": \"%s\",\n  \"cache_dir\": \"%s\",\n  \"shards\": %s,\n  \"campaign_dir\": \"%s\",\n  \"benchtime\": \"1x (cold, cache reset per benchmark)\",\n", gover, gomaxprocs, cachemode, cachedir, shards, campdir
 	printf "  \"results\": {\n"
 	for (i = 1; i <= n; i++) {
 		b = order[i]

@@ -1,12 +1,12 @@
 # Developer workflow for the DREAM reproduction. `make check` is the tier-1
 # gate (build + vet + tests); `make race` adds the race detector over the
-# concurrency-sensitive packages; `make bench-smoke` is a fast perf canary;
-# `make bench-json` emits the tracked benchmark numbers as JSON (see
-# BENCH_1.json for the recorded baselines).
+# concurrency-sensitive packages; `make bench-smoke` is a fast perf canary.
+# The performance record is the bench module: `bash bench/run.sh` (see
+# bench/README.md).
 
 GO ?= go
 
-.PHONY: check build vet test race bench-smoke bench-json profile clean
+.PHONY: check build vet test race bench-smoke profile clean
 
 check: build vet test
 
@@ -28,9 +28,6 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig10$$|BenchmarkDRAMActivatePrecharge$$' \
 		-benchtime=1x -timeout 1800s .
-
-bench-json:
-	./scripts/bench_json.sh
 
 # CPU + allocation profiles of the mitigated-run hot path (a quick Figure-19
 # reproduction, which runs every tracker against every workload). Inspect with

@@ -4,9 +4,10 @@ package dream
 // one isolates a structure the profiler shows on a mitigated figure's
 // flame graph (LLC lookups, tracker observe paths, the security auditor)
 // plus BenchmarkMitigatedRun, a single mitigated simulation over cached
-// traces — the perf canary below the figure level. Record comparisons with
-// scripts/bench_json.sh (ns/op and allocs/op, cold, -benchtime=1x); the
-// tracked numbers live in BENCH_<n>.json.
+// traces — the perf canary below the figure level. Run them cold with
+// `go test -run '^$' -bench <name> -benchtime=1x .`; the end-to-end
+// performance record is the bench module (BENCHMARK.json), and the older
+// BENCH_<n>.json files are frozen history.
 
 import (
 	"testing"
@@ -97,7 +98,7 @@ func BenchmarkAuditorObserve(b *testing.B) {
 	}
 }
 
-// benchMitigated measures one full mitigated simulation per iteration. Pure
+// benchMitigated measures one full mitigated simulation per iteration. Built
 // schemes are memoized by the run cache, so each iteration first resets the
 // cache and re-warms the traces outside the timer: every sample is exactly
 // one scheme simulation over recorded traces, never a replayed cache hit

@@ -37,7 +37,7 @@ func runExp(b *testing.B, f func(exp.Options) error, o exp.Options) {
 	// cost of its own figure, not residue from benchmarks that ran earlier
 	// in the same process. Within-iteration reuse (e.g. one baseline shared
 	// across a figure's T_RH sweep) is part of what the number reports;
-	// record comparisons with -benchtime=1x (see scripts/bench_json.sh).
+	// compare runs with -benchtime=1x, the cold iteration.
 	exp.ResetCache()
 	for i := 0; i < b.N; i++ {
 		if err := f(o); err != nil {

@@ -26,11 +26,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/addrmap"
-	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/exp"
 	"repro/internal/harness"
@@ -181,15 +178,6 @@ type Config struct {
 	// The simulated schedule and the returned Result are bit-identical with
 	// metrics on or off.
 	Metrics *MetricsOptions
-	// CacheDir, when non-empty, persists results to a content-addressed
-	// disk cache at that directory (equivalent to calling SetCacheDir before
-	// the run): repeated identical simulations are served from disk across
-	// process restarts, bit-identical to recomputation. Metrics-bearing runs
-	// keep bypassing the cache. An unusable directory degrades the run to
-	// compute-only with a once-per-process notice, never an error.
-	CacheDir string
-	// CacheMaxBytes caps the disk cache before LRU eviction (0 = 4 GiB).
-	CacheMaxBytes int64
 }
 
 // Observability types, re-exported so facade users configure metrics and
@@ -229,46 +217,15 @@ func SetRetryPolicy(p RetryPolicy) (prev RetryPolicy) { return exp.SetRetryPolic
 // carrying its last forward-progress snapshot.
 func SetSimTimeout(d time.Duration) (prev time.Duration) { return exp.SetRunTimeout(d) }
 
-// cacheMu serializes SetCacheDir and remembers the applied setting so
-// repeated Config.CacheDir runs don't reopen the store on every call.
-var cacheMu struct {
-	sync.Mutex
-	dir string
-	max int64
-}
-
 // SetCacheDir attaches a persistent result cache at dir for every
 // subsequent run in this process (maxBytes caps it before LRU eviction;
-// 0 = 4 GiB). An empty dir detaches the cache. Cached results are
+// 0 = 4 GiB), so repeated identical simulations are served from disk across
+// process restarts. An empty dir detaches the cache. Cached results are
 // bit-identical to recomputation; corrupt or version-mismatched entries
-// are recomputed, never surfaced as errors. On error (e.g. an unwritable
-// directory) the process continues compute-only.
-func SetCacheDir(dir string, maxBytes int64) error {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if cacheMu.dir == dir && cacheMu.max == maxBytes {
-		return nil
-	}
-	err := exp.SetDiskCache(dir, maxBytes)
-	if err != nil {
-		cacheMu.dir, cacheMu.max = "", 0
-		return err
-	}
-	cacheMu.dir, cacheMu.max = dir, maxBytes
-	return nil
-}
-
-// applyCache applies a non-empty Config.CacheDir, degrading to
-// compute-only (with a once-per-directory notice) when the dir is unusable.
-func (c Config) applyCache() {
-	if c.CacheDir == "" {
-		return
-	}
-	if err := SetCacheDir(c.CacheDir, c.CacheMaxBytes); err != nil {
-		harness.Noticef("dream-cache-dir-"+c.CacheDir,
-			"dream: persistent cache disabled, computing instead: %v", err)
-	}
-}
+// are recomputed, never surfaced as errors; metrics-bearing runs bypass the
+// cache. On error (e.g. an unwritable directory) the process continues
+// compute-only.
+func SetCacheDir(dir string, maxBytes int64) error { return exp.SetDiskCache(dir, maxBytes) }
 
 // withDefaults fills every unset sizing field with its documented default.
 func (c Config) withDefaults() Config {
@@ -336,11 +293,11 @@ func (c Config) runConfig(sc exp.Scheme, ctx context.Context) exp.RunConfig {
 // Result is re-exported from the stats package.
 type Result = stats.RunResult
 
-// firstJobErr maps a ParallelCtx outcome onto the facade contract. The
-// harness treats context-skipped jobs as non-failures (a -keep-going
-// campaign must not count them), but a facade caller asked for exactly these
-// results — a job skipped by the caller's context surfaces ctx.Err() instead
-// of silently returning a zero Result.
+// firstJobErr maps CompareContext's ParallelCtx outcome onto the facade
+// contract. The harness treats context-skipped jobs as non-failures (a
+// -keep-going campaign must not count them), but a facade caller asked for
+// exactly these results — a job skipped by the caller's context surfaces
+// ctx.Err() instead of silently returning a zero Result.
 func firstJobErr(ctx context.Context, errs []error, err error) error {
 	if err != nil {
 		return err
@@ -361,9 +318,8 @@ func Workloads() []string { return workload.Names() }
 
 // SimulateContext runs one configuration under ctx: cancelling ctx aborts
 // the simulation at its next progress check with an error satisfying
-// errors.Is(err, ctx.Err()). The run executes on the experiment harness's
-// shared worker pool (exp.ParallelCtx), so facade runs and full-figure
-// experiments share one scheduling and cancellation path.
+// errors.Is(err, ctx.Err()). The run goes through exp.Run, the same
+// cached, retried and panic-isolated path every experiment cell takes.
 func SimulateContext(ctx context.Context, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -373,15 +329,7 @@ func SimulateContext(ctx context.Context, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	cfg.applyCache()
-	results, errs, err := exp.ParallelCtx(ctx, 1,
-		func(jctx context.Context, _ int) (Result, error) {
-			return exp.Run(cfg.runConfig(sc, jctx))
-		})
-	if err := firstJobErr(ctx, errs, err); err != nil {
-		return Result{}, err
-	}
-	return results[0], nil
+	return exp.Run(cfg.runConfig(sc, ctx))
 }
 
 // CompareContext runs the unprotected baseline and the scheme on identical
@@ -397,7 +345,6 @@ func CompareContext(ctx context.Context, cfg Config) (base, scheme Result, slowd
 	if err != nil {
 		return
 	}
-	cfg.applyCache()
 	results, errs, err := exp.ParallelCtx(ctx, 2,
 		func(jctx context.Context, i int) (Result, error) {
 			rc := cfg.runConfig(sc, jctx)
@@ -478,9 +425,9 @@ func (c AttackConfig) Validate() error {
 type AttackResult struct {
 	Result
 	// Breached reports whether any victim accumulated 2·TRH neighbour
-	// activations without a refresh — the paper's §2.1 success criterion
-	// with its Appendix-B convention that a double-sided threshold of TRH
-	// permits TRH activations per side (single-sided tolerance is 2·TRH).
+	// activations without a refresh (security.Breached): the paper's §2.1
+	// success criterion with its Appendix-B convention that a double-sided
+	// threshold of TRH permits TRH activations per side.
 	Breached bool
 }
 
@@ -505,8 +452,9 @@ func (r AttackResult) MarshalJSON() ([]byte, error) {
 }
 
 // AttackContext mounts the pattern against the scheme with the auditor
-// enabled. The attacker runs with a tiny LLC (modelling clflush) at maximum
-// rate. Cancelling ctx aborts the run as in SimulateContext.
+// enabled (exp.AttackTraces builds the machine's traces). The attacker runs
+// with a tiny LLC (modelling clflush) at maximum rate. Cancelling ctx aborts
+// the run as in SimulateContext.
 func AttackContext(ctx context.Context, cfg AttackConfig) (AttackResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -516,53 +464,20 @@ func AttackContext(ctx context.Context, cfg AttackConfig) (AttackResult, error) 
 	if err != nil {
 		return AttackResult{}, err
 	}
-	mapper, err := addrmap.NewMOP4(addrmap.Default())
+	traces, err := exp.AttackTraces(string(cfg.Kind), cfg.TRH, cfg.Acts, cfg.Cores, cfg.Victims, cfg.Seed)
 	if err != nil {
 		return AttackResult{}, err
 	}
-	var atk cpu.Trace
-	switch cfg.Kind {
-	case AttackDoubleSided:
-		atk, err = workload.DoubleSided(mapper, 0, 5, 4000, cfg.Acts)
-	case AttackCircular:
-		atk, err = workload.Circular(mapper, 0, 5, 8000, cfg.TRH/20, cfg.Acts)
-	default:
-		err = fmt.Errorf("dream: unknown attack kind %q", cfg.Kind)
-	}
+	r, err := exp.Run(exp.RunConfig{
+		Workload: string(cfg.Kind), Cores: cfg.Cores, AccessesPerCore: cfg.Acts,
+		TRH: cfg.TRH, Scheme: sc, Seed: cfg.Seed, WindowScale: 1,
+		Audit: true, SmallLLC: true, Traces: traces,
+		Metrics: cfg.Metrics, Ctx: ctx,
+	})
 	if err != nil {
 		return AttackResult{}, err
 	}
-	traces := make([]cpu.Trace, cfg.Cores)
-	traces[0] = atk
-	for i := 1; i < cfg.Cores; i++ {
-		if cfg.Victims != "" {
-			p, err := workload.ByName(cfg.Victims)
-			if err != nil {
-				return AttackResult{}, err
-			}
-			g, err := workload.New(p, cfg.Acts/uint64(cfg.Cores), i, cfg.Seed)
-			if err != nil {
-				return AttackResult{}, err
-			}
-			traces[i] = g
-		} else {
-			traces[i] = workload.IdleTrace{}
-		}
-	}
-	results, errs, err := exp.ParallelCtx(ctx, 1,
-		func(jctx context.Context, _ int) (Result, error) {
-			return exp.Run(exp.RunConfig{
-				Workload: string(cfg.Kind), Cores: cfg.Cores, AccessesPerCore: cfg.Acts,
-				TRH: cfg.TRH, Scheme: sc, Seed: cfg.Seed, WindowScale: 1,
-				Audit: true, SmallLLC: true, Traces: traces,
-				Metrics: cfg.Metrics, Ctx: jctx,
-			})
-		})
-	if err := firstJobErr(ctx, errs, err); err != nil {
-		return AttackResult{}, err
-	}
-	r := results[0]
-	return AttackResult{Result: r, Breached: r.MaxVictim >= 2*uint64(cfg.TRH)}, nil
+	return AttackResult{Result: r, Breached: security.Breached(r.MaxVictim, cfg.TRH)}, nil
 }
 
 // Mitigator is re-exported so downstream users can implement custom

@@ -10,16 +10,18 @@ import (
 	"repro/internal/exp"
 )
 
-// TestConfigCacheDirPersistsResults drives the facade's cache knob: a run
-// with Config.CacheDir populates the disk tier, and after a full in-memory
+// TestConfigCacheDirPersistsResults drives the facade's cache directory: a
+// run after SetCacheDir populates the disk tier, and after a full in-memory
 // reset (the process-restart model) the identical run is served from disk
 // bit-identically.
 func TestConfigCacheDirPersistsResults(t *testing.T) {
-	dir := t.TempDir()
 	defer func() {
 		SetCacheDir("", 0)
 		exp.ResetCache()
 	}()
+	if err := SetCacheDir(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
 	cfg := Config{
 		Workload:        "xz",
 		Scheme:          MINTDRFMsb,
@@ -27,7 +29,6 @@ func TestConfigCacheDirPersistsResults(t *testing.T) {
 		Cores:           2,
 		AccessesPerCore: 2000,
 		Seed:            1,
-		CacheDir:        dir,
 	}
 	exp.ResetCache()
 	cold, err := SimulateContext(context.Background(), cfg)
@@ -54,7 +55,7 @@ func TestConfigCacheDirPersistsResults(t *testing.T) {
 
 // TestSetCacheDirUnusableDegrades: the facade contract is degrade-to-compute,
 // never fail — an unusable dir errors from SetCacheDir but SimulateContext
-// with the same CacheDir still runs.
+// still runs.
 func TestSetCacheDirUnusableDegrades(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "not-a-dir")
 	// Make the path unusable by occupying it with a file.
@@ -70,7 +71,7 @@ func TestSetCacheDirUnusableDegrades(t *testing.T) {
 	}
 	res, err := SimulateContext(context.Background(), Config{
 		Workload: "xz", Scheme: Unprotected, Cores: 2,
-		AccessesPerCore: 2000, Seed: 1, CacheDir: bad,
+		AccessesPerCore: 2000, Seed: 1,
 	})
 	if err != nil {
 		t.Fatalf("SimulateContext failed instead of degrading to compute-only: %v", err)

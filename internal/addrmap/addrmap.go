@@ -171,88 +171,3 @@ func (m *MOP4) Geometry() Geometry { return m.g }
 
 // Name implements Mapper.
 func (m *MOP4) Name() string { return "MOP4" }
-
-// RowInterleaved maps an entire row's worth of consecutive lines to one bank
-// before moving to the next bank (classic open-page mapping). Used as an
-// ablation against MOP4.
-//
-//	[ col: c ][ sub: s ][ bank: b ][ row: r ]
-type RowInterleaved struct {
-	g                 Geometry
-	subBits, bankBits uint
-	colBits, rowBits  uint
-}
-
-// NewRowInterleaved builds the row-interleaved mapper for geometry g.
-func NewRowInterleaved(g Geometry) (*RowInterleaved, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return &RowInterleaved{
-		g:        g,
-		subBits:  log2(g.SubChannels),
-		bankBits: log2(g.Banks),
-		colBits:  log2(g.LinesPerRow()),
-		rowBits:  log2(g.Rows),
-	}, nil
-}
-
-// Map implements Mapper.
-func (m *RowInterleaved) Map(lineAddr uint64) Loc {
-	a := lineAddr
-	col := int(a & (1<<m.colBits - 1))
-	a >>= m.colBits
-	sub := int(a & (1<<m.subBits - 1))
-	a >>= m.subBits
-	bank := int(a & (1<<m.bankBits - 1))
-	a >>= m.bankBits
-	row := uint32(a & (1<<m.rowBits - 1))
-	return Loc{Sub: sub, Bank: bank, Row: row, Col: col}
-}
-
-// Unmap implements Mapper.
-func (m *RowInterleaved) Unmap(l Loc) uint64 {
-	a := uint64(l.Row)
-	a = a<<m.bankBits | uint64(l.Bank)
-	a = a<<m.subBits | uint64(l.Sub)
-	a = a<<m.colBits | uint64(l.Col)
-	return a
-}
-
-// Geometry implements Mapper.
-func (m *RowInterleaved) Geometry() Geometry { return m.g }
-
-// Name implements Mapper.
-func (m *RowInterleaved) Name() string { return "RowInterleaved" }
-
-// BankXOR wraps another mapper and XORs low row bits into the bank index,
-// spreading row-buffer conflicts (an ablation mapping; some controllers ship
-// such hashes).
-type BankXOR struct {
-	inner Mapper
-	bits  uint
-}
-
-// NewBankXOR wraps inner with a bank-index XOR hash.
-func NewBankXOR(inner Mapper) *BankXOR {
-	return &BankXOR{inner: inner, bits: log2(inner.Geometry().Banks)}
-}
-
-// Map implements Mapper.
-func (m *BankXOR) Map(lineAddr uint64) Loc {
-	l := m.inner.Map(lineAddr)
-	l.Bank ^= int(uint(l.Row) & (1<<m.bits - 1))
-	return l
-}
-
-// Unmap implements Mapper.
-func (m *BankXOR) Unmap(l Loc) uint64 {
-	l.Bank ^= int(uint(l.Row) & (1<<m.bits - 1))
-	return m.inner.Unmap(l)
-}
-
-// Geometry implements Mapper.
-func (m *BankXOR) Geometry() Geometry { return m.inner.Geometry() }
-
-// Name implements Mapper.
-func (m *BankXOR) Name() string { return m.inner.Name() + "+BankXOR" }

@@ -12,11 +12,7 @@ func mappers(t *testing.T) []Mapper {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := NewRowInterleaved(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []Mapper{mop, ri, NewBankXOR(mop)}
+	return []Mapper{mop}
 }
 
 func TestGeometryDefault(t *testing.T) {
@@ -143,36 +139,5 @@ func TestMOP4SequentialRowACTs(t *testing.T) {
 	}
 	if visits != 16 {
 		t.Errorf("sequential sweep visits row 0 of bank 0 %d times, want 16", visits)
-	}
-}
-
-func TestBankXORRoundTrip(t *testing.T) {
-	mop, err := NewMOP4(Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewBankXOR(mop)
-	for addr := uint64(0); addr < 100000; addr += 977 {
-		if m.Unmap(m.Map(addr)) != addr {
-			t.Fatalf("BankXOR round trip failed at %d", addr)
-		}
-	}
-	if m.Name() != "MOP4+BankXOR" {
-		t.Errorf("unexpected name %q", m.Name())
-	}
-}
-
-// TestMappersDiffer sanity-checks that the ablation mappings actually
-// differ from MOP4.
-func TestMappersDiffer(t *testing.T) {
-	ms := mappers(t)
-	differ := 0
-	for addr := uint64(64); addr < 64*1000; addr += 64 {
-		if ms[0].Map(addr) != ms[1].Map(addr) {
-			differ++
-		}
-	}
-	if differ == 0 {
-		t.Error("MOP4 and RowInterleaved agree everywhere")
 	}
 }

@@ -204,10 +204,6 @@ func (localExecutor) ExecCells(ctx context.Context, cells []CampaignCell) []Cell
 	return out
 }
 
-// LocalExecutor returns the in-process executor (the default when
-// Options.Executor is nil).
-func LocalExecutor() Executor { return localExecutor{} }
-
 // --- grid planners ------------------------------------------------------------
 
 // PlanGridBase enumerates the unprotected-baseline cells of one slowdown

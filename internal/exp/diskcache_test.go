@@ -144,7 +144,7 @@ func TestCorruptedEntryRecomputesGracefully(t *testing.T) {
 }
 
 // TestMitigatedRunsDiskCached pins the mitigated-run tier specifically: a
-// Pure scheme's result round-trips through the disk cache bit-exactly.
+// built scheme's result round-trips through the disk cache bit-exactly.
 func TestMitigatedRunsDiskCached(t *testing.T) {
 	withDiskCache(t, func(dir string) {
 		cfg := RunConfig{
@@ -165,25 +165,6 @@ func TestMitigatedRunsDiskCached(t *testing.T) {
 		}
 		if st := CacheStats(); st.DiskMitHits != 1 {
 			t.Errorf("mitigated run not disk-served: %+v", st)
-		}
-	})
-}
-
-// TestImpureSchemesBypassDiskCache: a scheme that does not declare purity
-// must never be served from or written to the mitigated tier.
-func TestImpureSchemesBypassDiskCache(t *testing.T) {
-	withDiskCache(t, func(dir string) {
-		sc := MINTWith(tracker.ModeDRFMsb)
-		sc.Pure = false
-		cfg := RunConfig{
-			Workload: "mcf", Cores: 2, AccessesPerCore: 4000,
-			TRH: 1000, Scheme: sc, Seed: 0xcafe,
-		}
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if st := CacheStats(); st.MitMisses != 0 || st.MitHits != 0 {
-			t.Errorf("impure scheme touched the mitigated tier: %+v", st)
 		}
 	})
 }

@@ -12,7 +12,6 @@ import (
 func dreamRMINTKind(kind dreamcore.DRFMKind) Scheme {
 	return Scheme{
 		Name: fmt.Sprintf("mint-dreamr-%s", lower(kind.String())),
-		Pure: true,
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
 			return dreamcore.NewDreamRMINT(dreamcore.DreamRMINTConfig{
 				TRH:    env.TRH,

@@ -21,7 +21,6 @@ import (
 func DAPPERScheme() Scheme {
 	return Scheme{
 		Name: "dapper",
-		Pure: true,
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
 			return tracker.NewDAPPER(tracker.DAPPERConfig{
 				TRH:         env.TRH,
@@ -40,7 +39,6 @@ func QPRACScheme() Scheme {
 	return Scheme{
 		Name: "qprac",
 		PRAC: true,
-		Pure: true,
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
 			return tracker.NewQPRAC(tracker.QPRACConfig{
 				TRH:          env.TRH,
@@ -60,7 +58,6 @@ func QPRACScheme() Scheme {
 func ProbScheme(policy tracker.ProbPolicy) Scheme {
 	return Scheme{
 		Name: "prob-" + policy.String(),
-		Pure: true,
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
 			return tracker.NewProbTracker(tracker.ProbConfig{
 				TRH:         env.TRH,

@@ -143,15 +143,54 @@ func DoS(o Options) error {
 	return nil
 }
 
-// Security audits every scheme against the classic attack patterns: the
-// §2.1 success criterion is a victim accumulating T_RH neighbour
-// activations without a refresh. The table reports the maximum observed.
-func Security(o Options) error {
-	trh := 2000
+// AttackTraces builds the per-core traces of an audited attack run. Core 0
+// hammers sub-channel 0, bank 5 for acts accesses: the two neighbours of
+// victim row 4000 (kind "double-sided"), or security.MINTWindow(trh) rows
+// two apart from row 8000 (kind "circular", the MINT-stressing pattern).
+// Every other core runs the victims workload with acts/cores accesses, or
+// sits idle when victims is empty. The traces are explicit, so attack runs
+// stay outside the run cache.
+func AttackTraces(kind string, trh int, acts uint64, cores int, victims string, seed uint64) ([]cpu.Trace, error) {
 	mapper, err := addrmap.NewMOP4(addrmap.Default())
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var atk *workload.Attack
+	switch kind {
+	case "double-sided":
+		atk, err = workload.DoubleSided(mapper, 0, 5, 4000, acts)
+	case "circular":
+		atk, err = workload.Circular(mapper, 0, 5, 8000, security.MINTWindow(trh), acts)
+	default:
+		err = fmt.Errorf("exp: unknown attack kind %q", kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	traces := make([]cpu.Trace, cores)
+	traces[0] = atk
+	if victims == "" {
+		for i := 1; i < cores; i++ {
+			traces[i] = workload.IdleTrace{}
+		}
+		return traces, nil
+	}
+	p, err := workload.ByName(victims)
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < cores; i++ {
+		if traces[i], err = workload.New(p, acts/uint64(cores), i, seed); err != nil {
+			return nil, err
+		}
+	}
+	return traces, nil
+}
+
+// Security audits every scheme against the classic attack patterns and
+// reports the maximum victim damage observed; security.Breached judges it.
+func Security(o Options) error {
+	trh := 2000
 	acc := o.accesses() * 4
 	schemes := []Scheme{
 		PARAWith(tracker.ModeDRFMsb),
@@ -162,29 +201,17 @@ func Security(o Options) error {
 		GrapheneWith(tracker.ModeDRFMsb),
 		DreamC(dreamcore.GroupRandomized, 1, false),
 	}
-	attacks := []struct {
-		name  string
-		build func() (cpu.Trace, error)
-	}{
-		{"double-sided", func() (cpu.Trace, error) {
-			return workload.DoubleSided(mapper, 0, 5, 4000, acc)
-		}},
-		{"circular-W", func() (cpu.Trace, error) {
-			return workload.Circular(mapper, 0, 5, 8000, security.MINTWindow(trh), acc)
-		}},
+	attacks := []struct{ name, kind string }{
+		{"double-sided", "double-sided"},
+		{"circular-W", "circular"},
 	}
 	t := stats.Table{Title: fmt.Sprintf("Security audit (T_RH=%d, attacker with flush: tiny LLC)", trh),
 		Columns: []string{"scheme", "attack", "max victim ACTs", "max aggressor ACTs", "mitigations", "breached"}}
 	for _, sc := range schemes {
 		for _, atk := range attacks {
-			trace, err := atk.build()
+			traces, err := AttackTraces(atk.kind, trh, acc, 8, "", o.seed())
 			if err != nil {
 				return err
-			}
-			traces := make([]cpu.Trace, 8)
-			traces[0] = trace
-			for i := 1; i < 8; i++ {
-				traces[i] = workload.IdleTrace{}
 			}
 			r, err := Run(RunConfig{
 				Workload: atk.name, Cores: 8, AccessesPerCore: acc, TRH: trh,
@@ -194,10 +221,8 @@ func Security(o Options) error {
 			if err != nil {
 				return err
 			}
-			// Double-sided T_RH permits T_RH activations per side
-			// (Appendix B), so the victim-damage failure line is 2·T_RH.
 			breached := "no"
-			if r.MaxVictim >= 2*uint64(trh) {
+			if security.Breached(r.MaxVictim, trh) {
 				breached = "YES"
 			}
 			t.AddRow(sc.Name, atk.name,

@@ -11,6 +11,7 @@ import (
 	dreamcore "repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/memctrl"
+	"repro/internal/security"
 	"repro/internal/stats"
 	"repro/internal/tracker"
 	"repro/internal/workload"
@@ -120,7 +121,7 @@ func TestDreamRKindAB(t *testing.T) {
 
 // TestRMAQAbuseAudited: the §6.2 abuse pattern gains bounded extra
 // activations against RMAQ-enabled DREAM-R — the victim damage stays below
-// the 2·T_RH failure line.
+// the failure line (security.Breached).
 func TestRMAQAbuseAudited(t *testing.T) {
 	mapper, err := addrmap.NewMOP4(addrmap.Default())
 	if err != nil {
@@ -144,8 +145,8 @@ func TestRMAQAbuseAudited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.MaxVictim >= 2*uint64(trh) {
-		t.Errorf("RMAQ abuse breached: max victim %d vs budget %d", r.MaxVictim, 2*trh)
+	if security.Breached(r.MaxVictim, trh) {
+		t.Errorf("RMAQ abuse breached: max victim %d at T_RH %d", r.MaxVictim, trh)
 	}
 	if r.Mitigations == 0 {
 		t.Error("no mitigations under attack")

@@ -157,10 +157,10 @@ func register(name string, d Descriptor, builtin bool) error {
 }
 
 // SchemeByName resolves a registered scheme by name ("mint-dreamr",
-// "dreamc-randomized-2x", a user-registered tracker, ...). The returned
-// Scheme carries the purity declaration that qualifies it for mitigated-run
-// memoization: registration enforced that the name is a complete content
-// identity, so every registered scheme with a builder is Pure.
+// "dreamc-randomized-2x", a user-registered tracker, ...). Registration
+// enforced that the name is a complete content identity, which is what
+// qualifies every registered scheme with a builder for mitigated-run
+// memoization.
 func SchemeByName(name string) (Scheme, bool) {
 	registry.RLock()
 	reg, ok := registry.m[name]
@@ -172,7 +172,6 @@ func SchemeByName(name string) (Scheme, bool) {
 		Name:  name,
 		Build: reg.d.Build,
 		PRAC:  reg.d.PRAC,
-		Pure:  reg.d.Build != nil,
 	}, true
 }
 

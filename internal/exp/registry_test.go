@@ -41,24 +41,21 @@ func TestBuiltinRosterGolden(t *testing.T) {
 			t.Errorf("builtin scheme %q missing from the registry", want)
 		}
 	}
-	// Purity semantics must match the old map exactly: the baseline is the
-	// only roster scheme without a builder (runKey territory), every other
-	// builtin is Pure (mitKey territory).
+	// The baseline is the only roster scheme without a builder (runKey
+	// territory); every other builtin has one (mitKey territory).
 	for _, n := range builtinRoster {
 		sc, ok := SchemeByName(n)
 		if !ok {
 			continue
 		}
 		if n == "base" {
-			if sc.Build != nil || sc.Pure {
-				t.Errorf("base must stay an unbuilt, impure scheme; got Build=%v Pure=%v",
-					sc.Build != nil, sc.Pure)
+			if sc.Build != nil {
+				t.Error("base must stay an unbuilt scheme")
 			}
 			continue
 		}
-		if sc.Build == nil || !sc.Pure {
-			t.Errorf("scheme %q must be a pure built scheme; got Build=%v Pure=%v",
-				n, sc.Build != nil, sc.Pure)
+		if sc.Build == nil {
+			t.Errorf("scheme %q must be a built scheme", n)
 		}
 		if (n == "moat") != sc.PRAC && n != "qprac" {
 			t.Errorf("scheme %q PRAC=%v, want PRAC only on moat", n, sc.PRAC)
@@ -175,8 +172,8 @@ func TestRegisteredSchemeIsCampaignable(t *testing.T) {
 		t.Fatalf("registered scheme fails cell validation: %v", err)
 	}
 	sc, ok := SchemeByName("registry-test-campaign")
-	if !ok || !sc.Pure {
-		t.Fatalf("registered scheme should resolve Pure; got ok=%v pure=%v", ok, sc.Pure)
+	if !ok || sc.Build == nil {
+		t.Fatalf("registered scheme should resolve with its Build; got ok=%v built=%v", ok, sc.Build != nil)
 	}
 }
 

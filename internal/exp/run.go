@@ -51,17 +51,12 @@ func (e Env) RNG(sub int) *sim.RNG { return sim.NewRNG(e.Seed ^ uint64(sub+1)*0x
 type Scheme struct {
 	Name string
 	// Build returns the mitigator for sub-channel sub; nil Build means
-	// unprotected.
+	// unprotected. Build must be a pure function of (Env, sub) and Name must
+	// bake in every constructor parameter, because mitigated runs are
+	// memoized under the Name (mitKey).
 	Build func(env Env, sub int) (memctrl.Mitigator, error)
 	// PRAC switches the DRAM to PRAC timings (tRP 14→36 ns).
 	PRAC bool
-	// Pure declares that Build is a pure function of (Env, sub) and that
-	// Name bakes in every constructor parameter — i.e. two schemes with the
-	// same Name behave identically given the same Env. Only Pure schemes
-	// qualify for mitigated-run memoization (mitKey); the built-in
-	// constructors in schemes.go and SchemeByName set it on every scheme
-	// with a Build.
-	Pure bool
 }
 
 // RunConfig describes one simulation.
@@ -295,13 +290,13 @@ func (cfg RunConfig) machineKey() (runcache.RunKey, bool) {
 }
 
 // mitKey builds the cache identity of a mitigated run, and whether the
-// result is memoizable: the scheme must declare purity (Scheme.Pure — its
-// Name identifies its behavior completely) on top of the machineKey
-// conditions. T_RH, WindowScale, and the mitigator RNG seed all shape a
+// result is memoizable: any scheme with a Build qualifies on top of the
+// machineKey conditions, its Name standing for its behavior (see
+// Scheme.Build). T_RH, WindowScale, and the mitigator RNG seed all shape a
 // mitigated simulation, so unlike runKey they are part of the key;
 // WindowScale travels as its exact bit pattern.
 func (cfg RunConfig) mitKey() (runcache.MitKey, bool) {
-	if cfg.Scheme.Build == nil || !cfg.Scheme.Pure {
+	if cfg.Scheme.Build == nil {
 		return runcache.MitKey{}, false
 	}
 	mk, ok := cfg.machineKey()

@@ -17,7 +17,6 @@ var Baseline = Scheme{Name: "base"}
 func PARAWith(mode tracker.Mode) Scheme {
 	return Scheme{
 		Name: "para-" + lower(mode.String()),
-		Pure: true,
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
 			return tracker.NewPARA(tracker.PARAProb(env.TRH), mode, env.RNG(sub))
 		},
@@ -29,7 +28,6 @@ func PARAWith(mode tracker.Mode) Scheme {
 func MINTWith(mode tracker.Mode) Scheme {
 	return Scheme{
 		Name: "mint-" + lower(mode.String()),
-		Pure: true,
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
 			return tracker.NewMINT(tracker.MINTWindow(env.TRH), env.Banks, mode, env.RNG(sub))
 		},
@@ -45,7 +43,6 @@ func DreamRPARA(atm bool) Scheme {
 	}
 	return Scheme{
 		Name: name,
-		Pure: true,
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
 			return dreamcore.NewDreamRPARA(dreamcore.DreamRPARAConfig{
 				TRH:    env.TRH,
@@ -69,7 +66,6 @@ func DreamRMINT(atm, rmaq bool) Scheme {
 	}
 	return Scheme{
 		Name: name,
-		Pure: true,
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
 			return dreamcore.NewDreamRMINT(dreamcore.DreamRMINTConfig{
 				TRH:     env.TRH,
@@ -86,7 +82,6 @@ func DreamRMINT(atm, rmaq bool) Scheme {
 func GrapheneWith(mode tracker.Mode) Scheme {
 	return Scheme{
 		Name: "graphene-" + lower(mode.String()),
-		Pure: true,
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
 			return tracker.NewGraphene(tracker.GrapheneConfig{
 				TRH:         env.TRH,
@@ -110,7 +105,6 @@ func DreamC(grouping dreamcore.Grouping, entryMult int, rmaq bool) Scheme {
 	}
 	return Scheme{
 		Name: name,
-		Pure: true,
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
 			return dreamcore.NewDreamC(dreamcore.DreamCConfig{
 				TRH:         env.TRH,
@@ -130,7 +124,6 @@ func DreamC(grouping dreamcore.Grouping, entryMult int, rmaq bool) Scheme {
 func ABACuS() Scheme {
 	return Scheme{
 		Name: "abacus",
-		Pure: true,
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
 			return tracker.NewABACuS(tracker.ABACuSConfig{
 				TRH:         env.TRH,
@@ -149,7 +142,6 @@ func MOAT() Scheme {
 	return Scheme{
 		Name: "moat",
 		PRAC: true,
-		Pure: true,
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
 			return tracker.NewMOAT(tracker.MOATConfig{
 				TRH:         env.TRH,

@@ -12,10 +12,10 @@ import "repro/internal/rowtable"
 //   - MaxVictim: the maximum combined activations of a row's two immediate
 //     neighbours while that row went unrefreshed (double-sided damage).
 //
-// An attack "wins" against a threshold T_RH if MaxVictim reaches T_RH (or,
-// single-sided, if MaxAggressor reaches 2*T_RH). Refresh sweeps reset the
-// slice of rows each REF covers; mitigation of an aggressor resets the
-// damage of its blast-radius victims.
+// Whether an attack "wins" against a threshold T_RH is decided by
+// security.Breached over MaxVictim, the one breach rule every audit uses.
+// Refresh sweeps reset the slice of rows each REF covers; mitigation of an
+// aggressor resets the damage of its blast-radius victims.
 type Auditor struct {
 	rows        int
 	refsPerWin  uint64

@@ -14,10 +14,10 @@ import (
 func TestTraceSetCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sets := []TraceSet{
-		{},                    // zero cores
-		{nil},                 // one empty stream
-		{nil, {}, nil},        // mixed empties
-		{{Access{Line: 0}}},   // minimal
+		{},                  // zero cores
+		{nil},               // one empty stream
+		{nil, {}, nil},      // mixed empties
+		{{Access{Line: 0}}}, // minimal
 		{{Access{Line: math.MaxUint64, Gap: math.MaxInt32, Write: true}}},
 		{{ // wrapping delta: MaxUint64 -> 0 -> MaxUint64
 			Access{Line: math.MaxUint64},

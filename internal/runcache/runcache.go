@@ -54,7 +54,8 @@ type RunKey struct {
 // MitKey identifies one deterministic mitigated simulation: the unprotected
 // machine identity plus everything that parameterises the mitigator. It is
 // only valid for schemes whose behavior is a pure function of (name, Env) —
-// the experiment layer gates on that (Scheme.Pure) before building one.
+// the experiment layer builds one only for schemes with a Build, whose
+// names are content identities.
 type MitKey struct {
 	Run RunKey
 	// Scheme is the scheme's name; built-in constructors bake every

@@ -58,6 +58,13 @@ func RevisedPARAProbApprox(trh int) float64 { return PARAProb(trh) * 20.0 / 17.0
 // MINTWindow is the coupled-MINT window: T_RH = 20·W.
 func MINTWindow(trh int) int { return trh / 20 }
 
+// Breached is the one failure line every audited attack is judged against:
+// a victim whose two neighbours together reached 2·T_RH activations without
+// a refresh (the auditor's MaxVictim). §2.1 makes the victim's damage the
+// success criterion, and Appendix B's convention reads a double-sided
+// threshold of T_RH as T_RH activations per side.
+func Breached(maxVictim uint64, trh int) bool { return maxVictim >= 2*uint64(trh) }
+
 // MINTToleratedTRH is the double-sided threshold coupled MINT tolerates at
 // window W (Appendix B: no row exceeds 40·W single-sided activations within
 // the failure budget, so 20·W double-sided).

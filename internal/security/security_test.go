@@ -63,6 +63,20 @@ func TestMINTWindows(t *testing.T) {
 	}
 }
 
+// TestBreachedLine pins the failure line at exactly 2·T_RH victim
+// activations.
+func TestBreachedLine(t *testing.T) {
+	for _, trh := range []int{4, 125, 1000, 2000} {
+		line := 2 * uint64(trh)
+		if Breached(line-1, trh) {
+			t.Errorf("T_RH %d: MaxVictim %d breached, want below the line", trh, line-1)
+		}
+		if !Breached(line, trh) {
+			t.Errorf("T_RH %d: MaxVictim %d not breached, want on the line", trh, line)
+		}
+	}
+}
+
 // TestRMAQImpactMatchesTable7 pins the model to the paper's anchors.
 func TestRMAQImpactMatchesTable7(t *testing.T) {
 	paper := map[int]int{25: 36, 30: 25, 35: 14, 40: 2, 45: 0, 50: 0, 100: 0}

@@ -6,8 +6,8 @@ import (
 )
 
 // SchemaVersion versions RunResult's JSON encoding. Consumers (the harness
-// journal, scripts/bench_json.sh outputs, external tooling) key on it; bump
-// it on any incompatible rename or semantic change.
+// journal, the disk cache, dreamd clients, external tooling) key on it;
+// bump it on any incompatible rename or semantic change.
 const SchemaVersion = 1
 
 // runResultJSON is the stable wire form of RunResult: kebab-case names and

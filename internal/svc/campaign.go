@@ -125,7 +125,7 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		emit:    emit,
 		emitted: make([]bool, len(req.Cells)),
 		failed:  make([]bool, len(req.Cells)),
-		timeout: s.cellTimeout(req.CellTimeoutMS),
+		timeout: time.Duration(req.CellTimeoutMS) * time.Millisecond,
 	}
 
 	// Probe fast-path: serve every already-memoized cell (memory or shared
@@ -239,19 +239,6 @@ func (st *campaignState) finish() {
 	}
 	st.mu.Unlock()
 	st.emit(campaignLine{Type: "done", Completed: completed, Failed: failed})
-}
-
-// cellTimeout derives the per-cell deadline from the request (0 = default),
-// capped like every other client-supplied deadline.
-func (s *Service) cellTimeout(ms int64) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
-	if d <= 0 {
-		d = s.opts.DefaultTimeout
-	}
-	if d > s.opts.MaxTimeout {
-		d = s.opts.MaxTimeout
-	}
-	return d
 }
 
 // retryableCellErr reports whether the client should retry the cell on a
@@ -446,61 +433,11 @@ func (s *Service) campaignLedger(ctx context.Context, st *campaignState, planHas
 // in-flight cells (two campaigns sharing a grid, or a peer's retry) dedup
 // onto one flight like any other request.
 func (s *Service) cellDo(ctx context.Context, cell exp.CampaignCell, timeout time.Duration) (stats.RunResult, error) {
-	key := "cell-" + requestKey(ClassCampaign, cell)
-	run := func(ctx context.Context) (any, error) { return exp.ExecCell(ctx, cell) }
-
-	s.admitWG.Add(1)
-	if s.draining.Load() {
-		s.admitWG.Done()
-		s.rejectedDrain.Add(1)
-		return stats.RunResult{}, ErrDraining
+	fl, _, err := s.admit(ctx, ClassCampaign, "cell-"+requestKey(ClassCampaign, cell), timeout, true,
+		func(ctx context.Context) (any, error) { return exp.ExecCell(ctx, cell) })
+	if err != nil {
+		return stats.RunResult{}, err
 	}
-	s.mu.Lock()
-	if fl, ok := s.inflight[key]; ok && joinFlight(fl) {
-		s.mu.Unlock()
-		s.admitWG.Done()
-		s.deduped.Add(1)
-		return s.awaitCell(ctx, fl)
-	}
-	br := s.breakers[ClassCampaign]
-	token, retryAfter, ok := br.Allow()
-	if !ok {
-		s.mu.Unlock()
-		s.admitWG.Done()
-		s.rejectedBreaker.Add(1)
-		return stats.RunResult{}, &ShedError{Class: ClassCampaign, RetryAfter: retryAfter}
-	}
-	fctx, fcancel := context.WithTimeout(s.baseCtx, timeout)
-	fl := &flight{
-		key: key, class: ClassCampaign, token: token,
-		ctx: fctx, cancel: fcancel,
-		run: run, done: make(chan struct{}),
-	}
-	fl.waiters.Store(1)
-	s.inflight[key] = fl
-	s.mu.Unlock()
-
-	// Blocking enqueue. Shutdown cannot close the queue underneath us: it
-	// waits on admitWG first, and we hold a slot until the send lands.
-	select {
-	case s.queue <- fl:
-		s.admitWG.Done()
-	case <-ctx.Done():
-		s.mu.Lock()
-		if s.inflight[key] == fl {
-			delete(s.inflight, key)
-		}
-		s.mu.Unlock()
-		br.Drop(token)
-		fcancel()
-		s.admitWG.Done()
-		return stats.RunResult{}, ctx.Err()
-	}
-	s.accepted.Add(1)
-	return s.awaitCell(ctx, fl)
-}
-
-func (s *Service) awaitCell(ctx context.Context, fl *flight) (stats.RunResult, error) {
 	v, _, err := s.await(ctx, fl)
 	if err != nil {
 		return stats.RunResult{}, err

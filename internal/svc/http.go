@@ -58,7 +58,7 @@ type response struct {
 }
 
 // simulateRequest is dream.Config plus the per-request deadline. Metrics
-// and cache knobs are server-owned: requests carrying them are rejected.
+// are server-owned: requests carrying them are rejected.
 type simulateRequest struct {
 	dream.Config
 	TimeoutMS int64 `json:"timeout_ms"`
@@ -99,9 +99,9 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.Config.Metrics != nil || req.Config.CacheDir != "" || req.Config.CacheMaxBytes != 0 {
+	if req.Config.Metrics != nil {
 		writeErr(w, http.StatusBadRequest, &errBody{Kind: errValidation,
-			Message: "metrics and cache knobs are server-owned; configure them on dreamd, not per request"})
+			Message: "metrics are server-owned; configure them on dreamd, not per request"})
 		return
 	}
 	if err := req.Config.Validate(); err != nil {
@@ -119,9 +119,9 @@ func (s *Service) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.Config.Metrics != nil || req.Config.CacheDir != "" || req.Config.CacheMaxBytes != 0 {
+	if req.Config.Metrics != nil {
 		writeErr(w, http.StatusBadRequest, &errBody{Kind: errValidation,
-			Message: "metrics and cache knobs are server-owned; configure them on dreamd, not per request"})
+			Message: "metrics are server-owned; configure them on dreamd, not per request"})
 		return
 	}
 	if err := req.Config.Validate(); err != nil {

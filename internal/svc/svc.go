@@ -279,7 +279,7 @@ func (s *Service) Ready() bool {
 // flag reports whether this caller shared another request's flight.
 func (s *Service) Do(ctx context.Context, class, key string, timeout time.Duration,
 	run func(ctx context.Context) (any, error)) (val any, elapsed time.Duration, dedup bool, err error) {
-	fl, dedup, err := s.admit(class, key, timeout, run)
+	fl, dedup, err := s.admit(ctx, class, key, timeout, false, run)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -288,14 +288,19 @@ func (s *Service) Do(ctx context.Context, class, key string, timeout time.Durati
 }
 
 // admit performs the admission pipeline (drain check → dedup → breaker →
-// queue depth) and returns the flight to await. admitWG brackets only this
-// window — not the wait for the outcome — so Shutdown's admitWG.Wait()
-// returns as soon as no caller can reach the queue, letting the drain
-// deadline and force-cancel actually fire on stuck work. The order matters:
-// Add first, then the draining check — Shutdown sets draining and then
-// waits, so an admission that slipped past the check is inside the group
-// and its enqueue is awaited before the queue is sealed.
-func (s *Service) admit(class, key string, timeout time.Duration,
+// queue depth) and returns the flight to await. timeout is clamped to
+// DefaultTimeout (when <= 0) and MaxTimeout. On a full queue an interactive
+// caller (wait false) gets ErrQueueFull; a campaign cell (wait true) blocks
+// for a slot until ctx ends, and then leaves no trace: its breaker token is
+// dropped and its flight removed.
+//
+// admitWG brackets only this window — not the wait for the outcome — so
+// Shutdown's admitWG.Wait() returns as soon as no caller can reach the
+// queue, letting the drain deadline and force-cancel actually fire on stuck
+// work. The order matters: Add first, then the draining check — Shutdown
+// sets draining and then waits, so an admission that slipped past the check
+// is inside the group and its enqueue is awaited before the queue is sealed.
+func (s *Service) admit(ctx context.Context, class, key string, timeout time.Duration, wait bool,
 	run func(ctx context.Context) (any, error)) (*flight, bool, error) {
 	s.admitWG.Add(1)
 	defer s.admitWG.Done()
@@ -338,12 +343,34 @@ func (s *Service) admit(class, key string, timeout time.Duration,
 	s.inflight[key] = fl
 	s.mu.Unlock()
 
+	// Try the non-blocking send first. One select over the send and an
+	// already-closed channel (an ended ctx, or a stand-in for "don't wait")
+	// picks a ready case at random, so it could refuse a request while the
+	// queue still has room.
+	var err error
 	select {
 	case s.queue <- fl:
 	default:
-		// Queue at depth: undo the admission. The breaker gets a Drop, not
-		// a failure — a full queue says nothing about the class's health,
-		// and a dropped half-open probe must free the probe slot.
+		err = ErrQueueFull
+		if !wait {
+			s.rejectedQueue.Add(1)
+			break
+		}
+		// Shutdown cannot close the queue under this blocked send: it waits
+		// on admitWG first.
+		select {
+		case s.queue <- fl:
+			err = nil
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	if err != nil {
+		// Undo the admission. The breaker gets a Drop, not a failure — a
+		// full queue says nothing about the class's health, and a dropped
+		// half-open probe must free the probe slot. Callers that joined the
+		// flight in the meantime get the same error instead of waiting on a
+		// run that never starts.
 		s.mu.Lock()
 		if s.inflight[key] == fl {
 			delete(s.inflight, key)
@@ -351,8 +378,9 @@ func (s *Service) admit(class, key string, timeout time.Duration,
 		s.mu.Unlock()
 		br.Drop(token)
 		fcancel()
-		s.rejectedQueue.Add(1)
-		return nil, false, ErrQueueFull
+		fl.err = err
+		close(fl.done)
+		return nil, false, err
 	}
 	s.accepted.Add(1)
 	return fl, false, nil

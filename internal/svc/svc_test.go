@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exp"
 	"repro/internal/harness"
+	"repro/internal/stats"
 )
 
 // startService builds and starts a Service with fast test defaults, and
@@ -88,6 +90,101 @@ func TestQueueFullRejectsWith429Semantics(t *testing.T) {
 	}
 	if m := s.Snapshot(); m.RejectedQueue != 1 {
 		t.Errorf("RejectedQueue = %d, want 1", m.RejectedQueue)
+	}
+}
+
+// TestCampaignCellAdmissionWaits pins the one admission pipeline's two
+// modes: with the worker and the queue both held, an interactive Do is
+// refused with ErrQueueFull while a campaign cell waits for a slot. A
+// waiting cell whose ctx ends leaves neither a flight nor a rejection
+// behind and releases the cell that joined it, and a waiting cell runs once
+// the queue drains.
+func TestCampaignCellAdmissionWaits(t *testing.T) {
+	s := startService(t, Options{Workers: 1, QueueDepth: 1})
+	// On an early failure, free the held worker and every cell still in
+	// admission, so the cleanup's Shutdown can drain.
+	tctx, tcancel := context.WithCancel(context.Background())
+	defer tcancel()
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	running := make(chan struct{}, 2)
+	block := func(ctx context.Context) (any, error) {
+		running <- struct{}{}
+		select {
+		case <-release:
+			return "done", nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, key := range []string{"hold-worker", "hold-queue"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, _, errs[i] = s.Do(context.Background(), ClassSimulate, key, 0, block)
+		}()
+		if i == 0 {
+			<-running // the worker holds the first, so the second fills the queue
+		}
+	}
+	waitFor(t, func() bool { m := s.Snapshot(); return m.Accepted == 2 && m.QueueDepth == 1 })
+
+	cell := exp.CampaignCell{Workload: "xz", Scheme: "base", TRH: 2000, Cores: 1, Accesses: 1000, Seed: 7}
+	ctx, cancel := context.WithCancel(tctx)
+	waited := make(chan error, 1)
+	go func() {
+		_, err := s.cellDo(ctx, cell, 0)
+		waited <- err
+	}()
+	waitFor(t, func() bool { return s.InflightCount() == 3 })
+	joined := make(chan error, 1)
+	go func() {
+		_, err := s.cellDo(tctx, cell, 0)
+		joined <- err
+	}()
+	waitFor(t, func() bool { return s.Snapshot().Deduped == 1 })
+	if _, _, _, err := s.Do(context.Background(), ClassSimulate, "refused", 0, block); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Do on a full queue = %v, want ErrQueueFull", err)
+	}
+	cancel()
+	if err := <-waited; !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiting cell after cancel = %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-joined:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("joiner of the dropped cell = %v, want its context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("joiner of the dropped cell still waiting")
+	}
+	if n, m := s.InflightCount(), s.Snapshot(); n != 2 || m.RejectedQueue != 1 {
+		t.Errorf("after the cancelled wait: %d in flight, %d rejected; want 2 and 1", n, m.RejectedQueue)
+	}
+
+	type outcome struct {
+		res stats.RunResult
+		err error
+	}
+	ran := make(chan outcome, 1)
+	go func() {
+		res, err := s.cellDo(tctx, cell, 0)
+		ran <- outcome{res, err}
+	}()
+	waitFor(t, func() bool { return s.InflightCount() == 3 })
+	releaseOnce()
+	wg.Wait()
+	if errs[0] != nil || errs[1] != nil {
+		t.Errorf("blocking requests failed: %v %v", errs[0], errs[1])
+	}
+	if oc := <-ran; oc.err != nil || oc.res.SimTimeNS <= 0 {
+		t.Fatalf("waiting cell = (%v ns simulated, %v), want a result", oc.res.SimTimeNS, oc.err)
+	}
+	if m := s.Snapshot(); m.Accepted != 3 || m.RejectedQueue != 1 {
+		t.Errorf("accepted %d, rejected %d; want 3 and 1", m.Accepted, m.RejectedQueue)
 	}
 }
 

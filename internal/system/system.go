@@ -47,9 +47,6 @@ type Config struct {
 	Timings  dram.Timings
 	CtrlCfg  memctrl.Config
 
-	// Mapper builds the address mapping; nil selects MOP4.
-	Mapper addrmap.Mapper
-
 	// NewMitigator builds the mitigation policy for sub-channel sub; nil
 	// runs unprotected.
 	NewMitigator func(sub int) memctrl.Mitigator
@@ -197,13 +194,9 @@ func New(cfg Config, traces []cpu.Trace) (*System, error) {
 	if cfg.MaxTime == 0 {
 		cfg.MaxTime = sim.Forever
 	}
-	mapper := cfg.Mapper
-	if mapper == nil {
-		var err error
-		mapper, err = addrmap.NewMOP4(cfg.Geometry)
-		if err != nil {
-			return nil, err
-		}
+	mapper, err := addrmap.NewMOP4(cfg.Geometry)
+	if err != nil {
+		return nil, err
 	}
 	llc, err := cache.New(cfg.CacheCfg)
 	if err != nil {

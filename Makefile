@@ -22,9 +22,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One cold iteration of the two tracked figure benchmarks plus the scheduler
-# micro-benchmark: finishes in a couple of minutes and catches gross
-# regressions without the full -bench=. sweep.
+# One cold iteration of the Figure-10 benchmark plus the DRAM
+# activate/precharge micro-benchmark: finishes in a couple of minutes and
+# catches gross regressions without the full -bench=. sweep.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig10$$|BenchmarkDRAMActivatePrecharge$$' \
 		-benchtime=1x -timeout 1800s .

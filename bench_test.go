@@ -15,7 +15,6 @@ import (
 	dreamcore "repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/exp"
-	"repro/internal/memctrl"
 	"repro/internal/security"
 	"repro/internal/sim"
 	"repro/internal/tracker"
@@ -105,17 +104,6 @@ func BenchmarkTrackerMINT(b *testing.B) {
 	}
 }
 
-func BenchmarkTrackerGraphene(b *testing.B) {
-	t, err := tracker.NewGraphene(tracker.GrapheneConfig{TRH: 1000, Banks: 32, Mode: tracker.ModeNRR})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := sim.NewRNG(2)
-	for i := 0; i < b.N; i++ {
-		_ = t.OnActivate(sim.Tick(i), i&31, rng.Uint32()&0x1ffff)
-	}
-}
-
 func BenchmarkDreamRMINT(b *testing.B) {
 	t, err := dreamcore.NewDreamRMINT(dreamcore.DreamRMINTConfig{
 		TRH: 2000, Banks: 32, UseATM: true,
@@ -162,16 +150,6 @@ func BenchmarkDRAMActivatePrecharge(b *testing.B) {
 			b.Fatal(err)
 		}
 		now = t
-	}
-}
-
-func BenchmarkAuditor(b *testing.B) {
-	a := memctrl.NewAuditor(128*1024, 8192)
-	for i := 0; i < b.N; i++ {
-		a.OnActivate(i&31, uint32(i&0x3fff))
-		if i%64 == 63 {
-			a.OnMitigate(i&31, uint32(i&0x3fff))
-		}
 	}
 }
 

@@ -26,17 +26,17 @@ func main() {
 	fmt.Printf("  PARA coupled:        p = 1/%.1f\n", 1/security.PARAProb(t))
 	fmt.Printf("  PARA DREAM-R:        p = 1/%.1f (closed form 1/%.1f)\n",
 		1/security.RevisedPARAProb(t), 1/security.RevisedPARAProbApprox(t))
-	fmt.Printf("  PARA DREAM-R + ATM:  p = 1/%.1f\n", 1/security.ATMProb(t, 20))
+	fmt.Printf("  PARA DREAM-R + ATM:  p = 1/%.1f\n", 1/security.ATMProb(t, security.ATMTH))
 	fmt.Printf("  MINT coupled:        W = %d\n", security.MINTWindow(t))
 	fmt.Printf("  MINT DREAM-R:        W = %d\n", security.RevisedMINTWindow(t))
-	fmt.Printf("  MINT DREAM-R + ATM:  W = %d\n\n", security.ATMWindow(t, 20))
+	fmt.Printf("  MINT DREAM-R + ATM:  W = %d\n\n", security.ATMWindow(t, security.ATMTH))
 
 	fmt.Println("Storage (Tables 1 and 6, §5.8):")
 	fmt.Printf("  Graphene: %6.1f KB/bank (%d entries)\n",
 		security.GrapheneKBPerBank(t), security.GrapheneEntries(t))
 	fmt.Printf("  DREAM-C:  %6.2f KB/bank (gang %d, %d DRFMab per mitigation)\n",
 		security.DreamCKBPerBank(t, 1), security.DreamCGangSize(t),
-		security.DreamCGangSize(t)/32)
+		security.DreamCGangSize(t)/security.BanksPerSubChannel)
 	fmt.Printf("  ABACuS:   %6.1f KB/bank\n", security.ABACuSKBPerBank(t))
 	g, _ := security.StorageRatio(security.GrapheneKBPerBank(t), security.DreamCKBPerBank(t, 1))
 	a, _ := security.StorageRatio(security.ABACuSKBPerBank(t), security.DreamCKBPerBank(t, 1))

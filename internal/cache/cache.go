@@ -155,15 +155,6 @@ func (c *Cache) Probe(lineAddr uint64) bool {
 	return false
 }
 
-// MissRate reports misses / accesses so far.
-func (c *Cache) MissRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(total)
-}
-
 // Sets reports the number of sets (for tests).
 func (c *Cache) Sets() int { return c.nsets }
 

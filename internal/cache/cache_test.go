@@ -41,9 +41,6 @@ func TestHitMiss(t *testing.T) {
 	if c.Hits != 1 || c.Misses != 1 {
 		t.Errorf("hits=%d misses=%d", c.Hits, c.Misses)
 	}
-	if got := c.MissRate(); got != 0.5 {
-		t.Errorf("miss rate = %v", got)
-	}
 }
 
 func TestLRUEviction(t *testing.T) {

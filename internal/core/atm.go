@@ -1,25 +1,21 @@
 package core
 
-// DefaultATMTH is the paper's Active Target-row Monitoring trigger: if the
-// row sitting in a DAR awaiting its delayed DRFM receives this many further
-// activations, the DRFM is issued immediately (§4.4).
-const DefaultATMTH = 20
+import "repro/internal/security"
 
 // atm implements Active Target-row Monitoring for one sub-channel: per
 // bank, a copy of the sampled row and a counter of activations it received
 // while awaiting DRFM. With ATM the extra activations a delayed DRFM can
-// leak are bounded by ATM-TH, so the underlying trackers keep parameters
-// close to their coupled versions (Table 4).
+// leak are bounded by security.ATMTH, so the underlying trackers keep
+// parameters close to their coupled versions (Table 4).
 type atm struct {
-	th     uint32
 	counts []uint32
 
 	// Triggers counts ATM-forced DRFMs.
 	Triggers uint64
 }
 
-func newATM(th uint32, banks int) *atm {
-	return &atm{th: th, counts: make([]uint32, banks)}
+func newATM(banks int) *atm {
+	return &atm{counts: make([]uint32, banks)}
 }
 
 // onActivate is called for every demand activation; it reports whether the
@@ -30,7 +26,7 @@ func (a *atm) onActivate(bank int, row uint32, dar darMirror) bool {
 		return false
 	}
 	a.counts[bank]++
-	if a.counts[bank] >= a.th {
+	if a.counts[bank] >= security.ATMTH {
 		a.Triggers++
 		return true
 	}
@@ -44,5 +40,5 @@ func (a *atm) onDARCleared(bank int) { a.counts[bank] = 0 }
 // storageBits: per bank, a counter wide enough for ATM-TH plus the mirror
 // row address and valid bit — the "3 bytes per bank" of §4.4.
 func (a *atm) storageBits() int64 {
-	return int64(len(a.counts)) * (5 + rowAddressBits + 1)
+	return int64(len(a.counts)) * security.ATMBitsPerBank
 }

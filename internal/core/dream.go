@@ -19,6 +19,7 @@
 package core
 
 import (
+	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/sim"
 )
@@ -55,7 +56,7 @@ func (k DRFMKind) drfmOp(bank int) memctrl.Op {
 }
 
 // sameSet lists the banks stalled (and mitigated) together with bank under
-// the flavour, for nbanks banks with DDR5's 4-banks-per-group layout.
+// the flavour, for nbanks banks.
 func (k DRFMKind) sameSet(bank, nbanks int) []int {
 	if k == DRFMab {
 		set := make([]int, nbanks)
@@ -64,12 +65,7 @@ func (k DRFMKind) sameSet(bank, nbanks int) []int {
 		}
 		return set
 	}
-	const perGroup = 4
-	set := make([]int, 0, nbanks/perGroup)
-	for g := 0; g < nbanks/perGroup; g++ {
-		set = append(set, g*perGroup+bank%perGroup)
-	}
-	return set
+	return dram.DRFMsbSet(bank, nbanks)
 }
 
 // darMirror is the MC-side copy of each bank's DAR occupancy that DREAM-R
@@ -79,6 +75,3 @@ type darMirror struct {
 	valid bool
 	row   uint32
 }
-
-// rowAddressBits is the row-address width for storage accounting (128 K rows).
-const rowAddressBits = 17

@@ -73,7 +73,7 @@ func TestStorageBitsAccounting(t *testing.T) {
 		t.Errorf("DREAM-R PARA storage = %.0f B/sub-channel", pb)
 	}
 	// ATM alone is ~3 bytes per bank.
-	a := newATM(20, 32)
+	a := newATM(32)
 	if perBank := float64(a.storageBits()) / 8 / 32; perBank < 2 || perBank > 4 {
 		t.Errorf("ATM = %.1f B/bank, paper says ~3", perBank)
 	}
@@ -133,11 +133,26 @@ func TestDreamRMINTValidation(t *testing.T) {
 	}
 }
 
+// TestRMAQSizeEdgeCases: the smallest window DREAM-R/MINT derives (W = 2 at
+// T_RH 60, with or without ATM) gets a 75-entry RMAQ, and a window of 150
+// or more floors at 2 entries.
 func TestRMAQSizeEdgeCases(t *testing.T) {
-	if RMAQSizeForWindow(0) != 2 {
-		t.Error("zero window must default to 2 entries")
+	for _, atm := range []bool{false, true} {
+		d, err := NewDreamRMINT(DreamRMINTConfig{TRH: 60, Banks: 1, UseATM: atm, UseRMAQ: true}, sim.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Window() != 2 || d.rmaq[0].size != 75 {
+			t.Errorf("atm=%v: T_RH 60 gives W=%d with %d RMAQ entries, want W=2 with 75", atm, d.Window(), d.rmaq[0].size)
+		}
 	}
-	if RMAQSizeForWindow(1000) != 2 {
-		t.Error("huge window must floor at 2 entries")
+	for _, w := range []int{150, 1000} {
+		d, err := NewDreamRMINT(DreamRMINTConfig{TRH: 2000, Banks: 1, UseRMAQ: true, WOverride: w}, sim.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.rmaq[0].size != 2 {
+			t.Errorf("W=%d: %d RMAQ entries, want the floor of 2", w, d.rmaq[0].size)
+		}
 	}
 }

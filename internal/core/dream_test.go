@@ -6,22 +6,46 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/memctrl"
+	"repro/internal/security"
 	"repro/internal/sim"
 )
 
-func TestRevisedParameters(t *testing.T) {
-	// Table 4 at T_RH = 2000.
-	if p := RevisedPARAProb(2000); 1/p < 84 || 1/p > 86 {
-		t.Errorf("revised PARA p = 1/%.1f, want ~1/85", 1/p)
+// TestDreamRParametersMatchSecurity: at every threshold in [60, 8192], with
+// ATM on and off, the p, W and RMAQ depth DREAM-R runs with are exactly the
+// ones internal/security's analysis reports.
+func TestDreamRParametersMatchSecurity(t *testing.T) {
+	rng := sim.NewRNG(1)
+	var bad []int
+	for trh := 60; trh <= 8192; trh++ {
+		ok := true
+		for _, atm := range []bool{true, false} {
+			p, err := NewDreamRPARA(DreamRPARAConfig{TRH: trh, Banks: 4, UseATM: atm}, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewDreamRMINT(DreamRMINTConfig{TRH: trh, Banks: 4, UseATM: atm, UseRMAQ: true}, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantP, wantW := security.RevisedPARAProbApprox(trh), security.RevisedMINTWindow(trh)
+			if atm {
+				wantP, wantW = security.ATMProb(trh, security.ATMTH), security.ATMWindow(trh, security.ATMTH)
+			}
+			if p.p != wantP || m.w != wantW || m.rmaq[0].size != security.RMAQEntries(wantW) {
+				if len(bad) < 5 {
+					t.Logf("T_RH %d atm=%v: p %v (want %v), W %d (want %d), RMAQ %d (want %d)",
+						trh, atm, p.p, wantP, m.w, wantW, m.rmaq[0].size, security.RMAQEntries(wantW))
+				}
+				ok = false
+			}
+		}
+		if !ok {
+			bad = append(bad, trh)
+		}
 	}
-	if p := ATMPARAProb(2000, 20); 1/p < 98.9 || 1/p > 99.1 {
-		t.Errorf("ATM PARA p = 1/%.1f, want 1/99", 1/p)
-	}
-	if w := RevisedMINTWindow(2000); w != 97 {
-		t.Errorf("revised MINT W = %d, want 97", w)
-	}
-	if w := ATMMINTWindow(2000, 20); w != 99 {
-		t.Errorf("ATM MINT W = %d, want 99", w)
+	if len(bad) > 0 {
+		t.Errorf("simulated DREAM-R parameters differ from security's at %d thresholds, first %v",
+			len(bad), bad[:min(5, len(bad))])
 	}
 }
 
@@ -89,12 +113,12 @@ func TestDreamRPARAATM(t *testing.T) {
 	d := newDreamRPARA(t, 0.0)
 	d.OnSampled(0, 7, 500) // row 500 awaits DRFM in bank 7's DAR
 	var fired bool
-	for i := 0; i < DefaultATMTH; i++ {
+	for i := 0; i < security.ATMTH; i++ {
 		dec := d.OnActivate(Tick(i), 7, 500)
 		if len(dec.PreOps) > 0 {
 			fired = true
-			if i != DefaultATMTH-1 {
-				t.Errorf("ATM fired at activation %d, want %d", i, DefaultATMTH-1)
+			if i != security.ATMTH-1 {
+				t.Errorf("ATM fired at activation %d, want %d", i, security.ATMTH-1)
 			}
 			if dec.PreOps[0].Kind != memctrl.OpDRFMsb {
 				t.Errorf("ATM op = %+v", dec.PreOps[0])
@@ -260,10 +284,11 @@ func TestRMAQFIFO(t *testing.T) {
 	}
 }
 
+// TestRMAQSizeForWindow: DREAM-R/MINT sizes each bank's RMAQ ⌈150/W⌉ deep.
 func TestRMAQSizeForWindow(t *testing.T) {
 	for _, c := range []struct{ w, want int }{{25, 6}, {50, 3}, {100, 2}} {
-		if got := RMAQSizeForWindow(c.w); got != c.want {
-			t.Errorf("RMAQSizeForWindow(%d) = %d, want %d", c.w, got, c.want)
+		if got := newDreamRMINT(t, c.w, true).rmaq[0].size; got != c.want {
+			t.Errorf("RMAQ size at W=%d = %d, want %d", c.w, got, c.want)
 		}
 	}
 }
@@ -285,10 +310,12 @@ func newDreamC(t *testing.T, cfg DreamCConfig) *DreamC {
 	return d
 }
 
+// TestDreamCVerticalForTRH: DREAM-C derives Table 6's vertical factor V
+// from T_RH.
 func TestDreamCVerticalForTRH(t *testing.T) {
 	for _, c := range []struct{ trh, want int }{{125, 1}, {250, 2}, {500, 4}, {1000, 8}} {
-		if got := VerticalForTRH(c.trh); got != c.want {
-			t.Errorf("VerticalForTRH(%d) = %d, want %d", c.trh, got, c.want)
+		if got := newDreamC(t, DreamCConfig{TRH: c.trh}).vertical; got != c.want {
+			t.Errorf("DREAM-C V at T_RH %d = %d, want %d", c.trh, got, c.want)
 		}
 	}
 }
@@ -321,8 +348,8 @@ func TestDreamCGangRowsInverse(t *testing.T) {
 		d := newDreamC(t, cfg)
 		for _, idx := range []int{0, 1, 12345, d.Entries() - 1} {
 			rounds := d.GangRows(idx)
-			if len(rounds) != d.cfg.Vertical {
-				t.Fatalf("%+v: rounds = %d, want V = %d", cfg, len(rounds), d.cfg.Vertical)
+			if len(rounds) != d.vertical {
+				t.Fatalf("%+v: rounds = %d, want V = %d", cfg, len(rounds), d.vertical)
 			}
 			for _, rows := range rounds {
 				for b, row := range rows {
@@ -453,9 +480,6 @@ func TestDreamCStorageTable6(t *testing.T) {
 }
 
 func TestDreamCValidation(t *testing.T) {
-	if _, err := NewDreamC(DreamCConfig{TRH: 500, Banks: 32, RowsPerBank: 1 << 17, Vertical: 3}, sim.NewRNG(1)); err == nil {
-		t.Error("non-power-of-two vertical factor should fail")
-	}
 	if _, err := NewDreamC(DreamCConfig{TRH: 500, Banks: 32, RowsPerBank: 1 << 17, Grouping: GroupRandomized}, nil); err == nil {
 		t.Error("randomized grouping without an RNG should fail")
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/memctrl"
+	"repro/internal/security"
 	"repro/internal/sim"
 )
 
@@ -31,16 +32,15 @@ func (g Grouping) String() string {
 	return "set-assoc"
 }
 
-// DreamCConfig configures DREAM-C.
+// DreamCConfig configures DREAM-C. The vertical-sharing factor V (§5.5) is
+// derived from TRH: the gang holds V rows per bank (gang size 32·V,
+// security.DreamCGangSize) and mitigation issues V DRFMab rounds. Table 6:
+// V = 1/2/4/8 for T_RH = 125/250/500/1000.
 type DreamCConfig struct {
 	TRH         int
 	Banks       int // 32
 	RowsPerBank int // 128 K
-	// Vertical is the vertical-sharing factor V (§5.5): the gang holds V
-	// rows per bank (gang size 32·V) and mitigation issues V DRFMab
-	// rounds. Table 6: V = 1/2/4/8 for T_RH = 125/250/500/1000.
-	Vertical int
-	Grouping Grouping
+	Grouping    Grouping
 	// EntryMult multiplies the DCT entry count (DREAM-C "2x storage" in
 	// Figures 17 and 22); with mult m each counter is shared by banks
 	// whose index ≡ k (mod m), shrinking gangs to 32·V/m rows.
@@ -48,26 +48,13 @@ type DreamCConfig struct {
 	// TTHOverride replaces the default T_RH/2 tracker threshold (the
 	// WindowScale mechanism passes a scaled value for short runs).
 	TTHOverride uint32
-	// ResetPeriod is the number of REFs per full DCT reset sweep (8192
-	// unscaled; §5.4 resets 16 of 128 K entries per REF).
+	// ResetPeriod is the number of REFs per full DCT reset sweep
+	// (memctrl.RefsPerWindow unscaled; §5.4 resets 16 of 128 K entries per
+	// REF).
 	ResetPeriod uint64
 	// UseRMAQ enables the §6.3 per-sub-channel 18-entry GroupID RMAQ that
 	// enforces the DRFM rate limit.
 	UseRMAQ bool
-}
-
-// VerticalForTRH returns Table 6's vertical-sharing factor for a threshold.
-func VerticalForTRH(trh int) int {
-	switch {
-	case trh >= 1000:
-		return 8
-	case trh >= 500:
-		return 4
-	case trh >= 250:
-		return 2
-	default:
-		return 1
-	}
 }
 
 // DreamC is the paper's counter-based contribution (§5): an untagged table
@@ -78,12 +65,13 @@ func VerticalForTRH(trh int) int {
 // counter at 1. Sixteen (scaled) DCT entries reset at every REF so counter
 // lifetimes spread across the refresh window.
 type DreamC struct {
-	cfg     DreamCConfig
-	tth     uint32
-	entries int
-	vshift  uint
-	masks   []uint32
-	dct     []uint32
+	cfg      DreamCConfig
+	tth      uint32
+	vertical int
+	entries  int
+	vshift   uint
+	masks    []uint32
+	dct      []uint32
 
 	resetChunk  int
 	resetCursor int
@@ -101,11 +89,9 @@ func NewDreamC(cfg DreamCConfig, rng *sim.RNG) (*DreamC, error) {
 	if cfg.Banks <= 0 || cfg.RowsPerBank <= 0 {
 		return nil, fmt.Errorf("core: DreamC needs geometry")
 	}
-	if cfg.Vertical == 0 {
-		cfg.Vertical = VerticalForTRH(cfg.TRH)
-	}
-	if cfg.Vertical < 1 || cfg.Vertical&(cfg.Vertical-1) != 0 || cfg.Vertical > cfg.RowsPerBank {
-		return nil, fmt.Errorf("core: DreamC vertical factor %d invalid", cfg.Vertical)
+	vertical := security.DreamCGangSize(cfg.TRH) / security.BanksPerSubChannel
+	if vertical > cfg.RowsPerBank {
+		return nil, fmt.Errorf("core: DreamC vertical factor %d exceeds %d rows", vertical, cfg.RowsPerBank)
 	}
 	if cfg.EntryMult == 0 {
 		cfg.EntryMult = 1
@@ -121,20 +107,21 @@ func NewDreamC(cfg DreamCConfig, rng *sim.RNG) (*DreamC, error) {
 		tth = uint32(cfg.TRH / 2)
 	}
 	if cfg.ResetPeriod == 0 {
-		cfg.ResetPeriod = 8192
+		cfg.ResetPeriod = memctrl.RefsPerWindow
 	}
 	vshift := uint(0)
-	for v := cfg.Vertical; v > 1; v >>= 1 {
+	for v := vertical; v > 1; v >>= 1 {
 		vshift++
 	}
-	entries := cfg.RowsPerBank / cfg.Vertical * cfg.EntryMult
+	entries := cfg.RowsPerBank / vertical * cfg.EntryMult
 	d := &DreamC{
-		cfg:     cfg,
-		tth:     tth,
-		entries: entries,
-		vshift:  vshift,
-		masks:   make([]uint32, cfg.Banks),
-		dct:     make([]uint32, entries),
+		cfg:      cfg,
+		tth:      tth,
+		vertical: vertical,
+		entries:  entries,
+		vshift:   vshift,
+		masks:    make([]uint32, cfg.Banks),
+		dct:      make([]uint32, entries),
 	}
 	if cfg.Grouping == GroupRandomized {
 		if rng == nil {
@@ -157,7 +144,7 @@ func NewDreamC(cfg DreamCConfig, rng *sim.RNG) (*DreamC, error) {
 // Name implements memctrl.Mitigator.
 func (t *DreamC) Name() string {
 	return fmt.Sprintf("DREAM-C(gang=%d,%s,TTH=%d,x%d)",
-		t.cfg.Banks*t.cfg.Vertical/t.cfg.EntryMult, t.cfg.Grouping, t.tth, t.cfg.EntryMult)
+		t.cfg.Banks*t.vertical/t.cfg.EntryMult, t.cfg.Grouping, t.tth, t.cfg.EntryMult)
 }
 
 // Index returns the DCT entry for an activation of (bank, row).
@@ -170,10 +157,10 @@ func (t *DreamC) Index(bank int, row uint32) int {
 // DCT entry idx. Banks outside the entry's share (EntryMult > 1) are marked
 // memctrl.SkipRow.
 func (t *DreamC) GangRows(idx int) [][]uint32 {
-	rounds := make([][]uint32, t.cfg.Vertical)
+	rounds := make([][]uint32, t.vertical)
 	base := uint32(idx/t.cfg.EntryMult) << t.vshift
 	share := idx % t.cfg.EntryMult
-	for v := 0; v < t.cfg.Vertical; v++ {
+	for v := 0; v < t.vertical; v++ {
 		rows := make([]uint32, t.cfg.Banks)
 		for b := 0; b < t.cfg.Banks; b++ {
 			if b%t.cfg.EntryMult != share {
@@ -239,7 +226,7 @@ func (t *DreamC) StorageBits() int64 {
 	ctrBits := bitsFor(uint64(t.cfg.TRH / 2))
 	bits := int64(t.entries) * int64(ctrBits)
 	if t.cfg.Grouping == GroupRandomized {
-		bits += int64(t.cfg.Banks) * rowAddressBits
+		bits += int64(t.cfg.Banks) * security.RowAddrBits
 	}
 	if t.rmaq != nil {
 		bits += t.rmaq.storageBits()

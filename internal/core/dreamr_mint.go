@@ -5,28 +5,23 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/memctrl"
+	"repro/internal/security"
 	"repro/internal/sim"
 )
-
-// RevisedMINTWindow returns the MINT window DREAM-R must use *without* ATM
-// (Appendix B): delaying the DRFM by up to one window raises the tolerated
-// threshold to 20.5·W, so W = T_RH/20.5 (97 at T_RH = 2000).
-func RevisedMINTWindow(trh int) int { return int(float64(trh) / 20.5) }
-
-// ATMMINTWindow returns the window with ATM (Table 4): ATM caps the unsafe
-// activations at ATM-TH, so W = (T_RH − ATM-TH)/20 (99 at T_RH = 2000).
-func ATMMINTWindow(trh int, atmTH int) int { return (trh - atmTH) / 20 }
 
 // DreamRMINTConfig configures DREAM-R over a MINT tracker.
 type DreamRMINTConfig struct {
 	TRH   int
 	Banks int
 	Kind  DRFMKind
-	// UseATM enables Active Target-row Monitoring (paper default).
+	// UseATM enables Active Target-row Monitoring (paper default, Table 4:
+	// W = security.ATMWindow, 99 at T_RH = 2000). Without it delaying the
+	// DRFM by up to one window raises the tolerated threshold to 20.5·W
+	// (Appendix B), so W = security.RevisedMINTWindow (97 at T_RH = 2000).
 	UseATM bool
-	ATMTH  uint32
 	// UseRMAQ enables the §6 Recently-Mitigated-Address Queues that
-	// enforce JEDEC's once-per-2·tREFI DRFM rate limit.
+	// enforce JEDEC's once-per-2·tREFI DRFM rate limit, each
+	// security.RMAQEntries deep.
 	UseRMAQ bool
 	// WOverride replaces the derived window (tests/ablations).
 	WOverride int
@@ -72,18 +67,15 @@ func NewDreamRMINT(cfg DreamRMINTConfig, rng *sim.RNG) (*DreamRMINT, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("core: DreamRMINT needs an RNG")
 	}
-	if cfg.ATMTH == 0 {
-		cfg.ATMTH = DefaultATMTH
-	}
 	w := cfg.WOverride
 	if w == 0 {
-		if cfg.TRH < 2*DefaultATMTH+20 {
+		if cfg.TRH < 2*security.ATMTH+20 {
 			return nil, fmt.Errorf("core: DreamRMINT T_RH %d too small", cfg.TRH)
 		}
 		if cfg.UseATM {
-			w = ATMMINTWindow(cfg.TRH, int(cfg.ATMTH))
+			w = security.ATMWindow(cfg.TRH, security.ATMTH)
 		} else {
-			w = RevisedMINTWindow(cfg.TRH)
+			w = security.RevisedMINTWindow(cfg.TRH)
 		}
 	}
 	d := &DreamRMINT{
@@ -97,12 +89,12 @@ func NewDreamRMINT(cfg DreamRMINTConfig, rng *sim.RNG) (*DreamRMINT, error) {
 		d.banks[i].san = rng.Intn(w)
 	}
 	if cfg.UseATM {
-		d.atm = newATM(cfg.ATMTH, cfg.Banks)
+		d.atm = newATM(cfg.Banks)
 	}
 	if cfg.UseRMAQ {
 		d.rmaq = make([]*RMAQ, cfg.Banks)
 		for i := range d.rmaq {
-			d.rmaq[i] = NewRMAQ(RMAQSizeForWindow(w))
+			d.rmaq[i] = NewRMAQ(security.RMAQEntries(w))
 		}
 	}
 	return d, nil
@@ -214,8 +206,8 @@ func (t *DreamRMINT) OnRefresh(now Tick, refIndex uint64) []memctrl.Op {
 
 // StorageBits implements memctrl.Mitigator.
 func (t *DreamRMINT) StorageBits() int64 {
-	perBank := int64(7 + 7 + rowAddressBits + 1) // CAN, SAN, MC-SAR
-	bits := int64(len(t.banks))*perBank + int64(len(t.dar))*(rowAddressBits+1)
+	perBank := int64(7 + 7 + security.RowAddrBits + 1) // CAN, SAN, MC-SAR
+	bits := int64(len(t.banks))*perBank + int64(len(t.dar))*(security.RowAddrBits+1)
 	if t.atm != nil {
 		bits += t.atm.storageBits()
 	}

@@ -5,29 +5,21 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/memctrl"
+	"repro/internal/security"
 	"repro/internal/sim"
 )
-
-// RevisedPARAProb returns the PARA probability DREAM-R must use *without*
-// ATM (Appendix A): the delayed DRFM turns the exponential epoch into a
-// Gamma(2) tail, raising the failure rate ~20x, so p·T_RH must rise from 20
-// to 20·(20/17) ≈ 23.5 (p = 1/85 at T_RH = 2000).
-func RevisedPARAProb(trh int) float64 { return (20.0 / float64(trh)) * (20.0 / 17.0) }
-
-// ATMPARAProb returns the PARA probability DREAM-R uses *with* ATM
-// (Table 4): ATM bounds the unsafe activations between sampling and DRFM to
-// ATM-TH, so the tracker targets T_RH − ATM-TH (p = 1/99 at T_RH = 2000).
-func ATMPARAProb(trh int, atmTH int) float64 { return 20.0 / float64(trh-atmTH) }
 
 // DreamRPARAConfig configures DREAM-R over a PARA tracker.
 type DreamRPARAConfig struct {
 	TRH   int
 	Banks int
 	Kind  DRFMKind
-	// UseATM enables Active Target-row Monitoring (the paper's default;
-	// without it the revised probability of Appendix A applies).
+	// UseATM enables Active Target-row Monitoring (the paper's default,
+	// Table 4: p = security.ATMProb, 1/99 at T_RH = 2000). Without it the
+	// delayed DRFM turns the exponential epoch into a Gamma(2) tail, so
+	// Appendix A's revised p′ = security.RevisedPARAProbApprox applies
+	// (1/85 at T_RH = 2000).
 	UseATM bool
-	ATMTH  uint32
 	// POverride replaces the derived probability (tests/ablations).
 	POverride float64
 }
@@ -60,23 +52,20 @@ func NewDreamRPARA(cfg DreamRPARAConfig, rng *sim.RNG) (*DreamRPARA, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("core: DreamRPARA needs an RNG")
 	}
-	if cfg.ATMTH == 0 {
-		cfg.ATMTH = DefaultATMTH
-	}
 	p := cfg.POverride
 	if p == 0 {
-		if cfg.TRH < 2*DefaultATMTH {
+		if cfg.TRH < 2*security.ATMTH {
 			return nil, fmt.Errorf("core: DreamRPARA T_RH %d too small", cfg.TRH)
 		}
 		if cfg.UseATM {
-			p = ATMPARAProb(cfg.TRH, int(cfg.ATMTH))
+			p = security.ATMProb(cfg.TRH, security.ATMTH)
 		} else {
-			p = RevisedPARAProb(cfg.TRH)
+			p = security.RevisedPARAProbApprox(cfg.TRH)
 		}
 	}
 	d := &DreamRPARA{p: p, kind: cfg.Kind, rng: rng, dar: make([]darMirror, cfg.Banks)}
 	if cfg.UseATM {
-		d.atm = newATM(cfg.ATMTH, cfg.Banks)
+		d.atm = newATM(cfg.Banks)
 	}
 	return d, nil
 }
@@ -132,7 +121,7 @@ func (t *DreamRPARA) OnRefresh(Tick, uint64) []memctrl.Op { return nil }
 
 // StorageBits implements memctrl.Mitigator: DAR mirrors plus ATM.
 func (t *DreamRPARA) StorageBits() int64 {
-	bits := int64(len(t.dar)) * (rowAddressBits + 1)
+	bits := int64(len(t.dar)) * (security.RowAddrBits + 1)
 	if t.atm != nil {
 		bits += t.atm.storageBits()
 	}

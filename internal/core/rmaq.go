@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/security"
+
 // RMAQ is the Recently-Mitigated-Address Queue of §6.1: a small per-bank
 // FIFO that enforces JEDEC's DRFM rate limit (a row may be mitigated at most
 // once per 2·tREFI). Each entry holds a row address and the tREFI epoch it
@@ -20,24 +22,10 @@ type rmaqEntry struct {
 }
 
 // NewRMAQ builds a FIFO of size entries (2–6 depending on the MINT window,
-// §6.1: ceil(150/W) entries so one window's worth of re-selections inside
-// 2·tREFI is covered).
+// §6.1: security.RMAQEntries covers one window's worth of re-selections
+// inside 2·tREFI).
 func NewRMAQ(size int) *RMAQ {
 	return &RMAQ{entries: make([]rmaqEntry, size), size: size}
-}
-
-// RMAQSizeForWindow returns the entry count §6.1 derives: up to 150
-// activations fit in 2·tREFI, so a row can be re-selected at most 150/W
-// times; W = 25/50/100 need 6/3/2 entries.
-func RMAQSizeForWindow(w int) int {
-	if w <= 0 {
-		return 2
-	}
-	n := (150 + w - 1) / w
-	if n < 2 {
-		n = 2
-	}
-	return n
 }
 
 // Blocked reports whether row was sampled within the last two tREFI.
@@ -63,4 +51,4 @@ func (q *RMAQ) Tick() { q.epoch++ }
 
 // storageBits: per entry a valid bit, row address, and 2-bit tREFI id — the
 // 20 bits/entry of §6.1.
-func (q *RMAQ) storageBits() int64 { return int64(q.size) * (1 + rowAddressBits + 2) }
+func (q *RMAQ) storageBits() int64 { return int64(q.size) * security.RMAQBitsPerEntry }

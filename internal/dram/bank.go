@@ -61,7 +61,6 @@ func (s *SubChannel) activate(now Tick, b int, row uint32) error {
 	s.readyAct[b] = now + t.TRC
 	s.readyCol[b] = now + t.TRCD
 	s.readyPre[b] = now + t.TRAS
-	s.hasHist[b] = true
 	s.bankActs[b]++
 	return nil
 }

@@ -42,21 +42,9 @@ type SubChannel struct {
 	// darValid/darRow are the per-bank DRFM Address Registers.
 	darValid []bool
 	darRow   []uint32
-	// hasHist[b] records that bank b has seen at least one activation,
-	// which is what the optional in-DRAM fallback sampler (paper footnote 1)
-	// needs to have a candidate row to mitigate.
-	hasHist []bool
 	// bankActs/bankMits are per-bank command stats (see the Bank view).
 	bankActs []uint64
 	bankMits []uint64
-
-	// InDRAMFallback enables the optional behaviour of the paper's
-	// footnote 1: a DRFM arriving at a bank with an invalid DAR mitigates a
-	// row chosen by the device's own (opaque) tracker — modelled here as
-	// the bank's most recently activated row. The MC cannot observe these
-	// mitigations, so they are excluded from RLP accounting; the security
-	// analysis treats them as absent, exactly as the paper does.
-	InDRAMFallback bool
 
 	// busFreeAt is when the shared data bus next becomes free.
 	busFreeAt Tick
@@ -79,9 +67,6 @@ type SubChannel struct {
 	RLPSum          uint64 // rows mitigated, summed over DRFM commands
 	BusBusy         Tick   // accumulated data-bus occupancy
 	MitigationCount uint64
-	// FallbackMitigations counts footnote-1 in-DRAM mitigations (invisible
-	// to the MC).
-	FallbackMitigations uint64
 }
 
 // NewSubChannel builds a sub-channel with banks banks (must be a multiple of
@@ -102,7 +87,6 @@ func NewSubChannel(t Timings, banks int) (*SubChannel, error) {
 		readyPre:  make([]Tick, banks),
 		darValid:  make([]bool, banks),
 		darRow:    make([]uint32, banks),
-		hasHist:   make([]bool, banks),
 		bankActs:  make([]uint64, banks),
 		bankMits:  make([]uint64, banks),
 		all:       make([]int, banks),
@@ -113,13 +97,20 @@ func NewSubChannel(t Timings, banks int) (*SubChannel, error) {
 		s.all[i] = i
 	}
 	for k := range s.sameBank {
-		set := make([]int, 0, banks/BanksPerGroup)
-		for g := 0; g < banks/BanksPerGroup; g++ {
-			set = append(set, g*BanksPerGroup+k)
-		}
-		s.sameBank[k] = set
+		s.sameBank[k] = DRFMsbSet(k, banks)
 	}
 	return s, nil
+}
+
+// DRFMsbSet lists the banks a DRFMsb aimed at bank b stalls and mitigates
+// in a sub-channel of banks banks: the bank with b's index within each
+// bankgroup (§2.5).
+func DRFMsbSet(b, banks int) []int {
+	set := make([]int, 0, banks/BanksPerGroup)
+	for g := 0; g < banks/BanksPerGroup; g++ {
+		set = append(set, g*BanksPerGroup+b%BanksPerGroup)
+	}
+	return set
 }
 
 // NumBanks reports the bank count.
@@ -180,9 +171,8 @@ func (s *SubChannel) EarliestAllIdle(set []int) (Tick, bool) {
 	return t, true
 }
 
-// SameBankSet returns the DRFMsb target set for bank b: the bank with the
-// same index within each of the 8 bankgroups (§2.5). The returned slice is
-// shared and must not be mutated.
+// SameBankSet returns the DRFMsb target set for bank b (DRFMsbSet, cached
+// per sub-channel). The returned slice is shared and must not be mutated.
 func (s *SubChannel) SameBankSet(b int) []int {
 	return s.sameBank[b%BanksPerGroup]
 }
@@ -298,11 +288,6 @@ func (s *SubChannel) drfm(now Tick, set []int, dur Tick, counter *uint64) ([]Mit
 			s.darValid[b] = false
 			s.darRow[b] = 0
 			s.bankMits[b]++
-		} else if s.InDRAMFallback && s.hasHist[b] {
-			// Footnote 1: the device privately mitigates a row its own
-			// tracker picked. Not reported to the MC, not counted as RLP.
-			s.bankMits[b]++
-			s.FallbackMitigations++
 		}
 	}
 	*counter++
@@ -336,8 +321,7 @@ func (s *SubChannel) BankActivations() []uint64 {
 	return append([]uint64(nil), s.bankActs...)
 }
 
-// BankMitigations returns a copy of the per-bank victim-refresh counters
-// (including footnote-1 in-DRAM fallback mitigations).
+// BankMitigations returns a copy of the per-bank victim-refresh counters.
 func (s *SubChannel) BankMitigations() []uint64 {
 	return append([]uint64(nil), s.bankMits...)
 }

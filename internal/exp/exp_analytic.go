@@ -33,11 +33,11 @@ func Table4(o Options) error {
 	t.AddRow("PARA",
 		fmt.Sprintf("p = 1/%.0f", 1/security.PARAProb(trh)),
 		fmt.Sprintf("p = 1/%.0f (exact 1/%.1f)", 1/security.RevisedPARAProbApprox(trh), 1/security.RevisedPARAProb(trh)),
-		fmt.Sprintf("p = 1/%.0f", 1/security.ATMProb(trh, 20)))
+		fmt.Sprintf("p = 1/%.0f", 1/security.ATMProb(trh, security.ATMTH)))
 	t.AddRow("MINT",
 		fmt.Sprintf("W = %d", security.MINTWindow(trh)),
 		fmt.Sprintf("W = %d", security.RevisedMINTWindow(trh)),
-		fmt.Sprintf("W = %d", security.ATMWindow(trh, 20)))
+		fmt.Sprintf("W = %d", security.ATMWindow(trh, security.ATMTH)))
 	fmt.Fprintln(o.out(), t.String())
 	return nil
 }

@@ -150,38 +150,32 @@ func Fig17(o Options) error {
 		DreamC(dreamcore.GroupRandomized, 2, false),
 	}
 	wls := o.workloads()
-	slow, raw, err := slowdownGridN(o, wls, 125, 8, schemes, o.counterAccesses())
+	slow, _, err := slowdownGridN(o, wls, 125, 8, schemes, o.counterAccesses())
 	printSlowdownTable(o.out(), "Figure 17: slowdown at T_RH=125", wls, schemeNames(schemes), slow)
-	t := stats.Table{Title: "Figure 17: storage", Columns: []string{"design", "KB/bank"}}
-	for _, sc := range schemes {
-		// Storage is a property of the design, not the workload: average
-		// across surviving workloads and reject any disagreement loudly
-		// instead of silently reporting whichever workload iterated last.
-		var sum, ref int64
-		n := 0
-		for _, wl := range wls {
-			r, ok := raw[wl][sc.Name]
-			if !ok {
-				continue
-			}
-			if n == 0 {
-				ref = r.StorageBits
-			} else if r.StorageBits != ref {
-				return fmt.Errorf("fig17: %s storage differs across workloads (%d vs %d bits)",
-					sc.Name, r.StorageBits, ref)
-			}
-			sum += r.StorageBits
-			n++
-		}
-		if n == 0 {
-			t.AddRow(sc.Name, "FAIL")
-			continue
-		}
-		bits := sum / int64(n)
-		t.AddRow(sc.Name, fmt.Sprintf("%.2f", float64(bits)/8/1024/32))
+	t, serr := storageTable("Figure 17: storage", 125, schemes)
+	if serr != nil {
+		return errors.Join(err, serr)
 	}
 	fmt.Fprintln(o.out(), t.String())
 	return err
+}
+
+// storageTable reports each scheme's controller storage per bank at trh.
+// Storage is a property of the design, not of a run: each scheme's
+// sub-channel 0 tracker is built once with an unscaled Env, since a run's
+// WindowScale-scaled thresholds would narrow its counters. No table's size
+// depends on the seed.
+func storageTable(title string, trh int, schemes []Scheme) (stats.Table, error) {
+	t := stats.Table{Title: title, Columns: []string{"design", "KB/bank"}}
+	env := unscaledEnv(trh, 1)
+	for _, sc := range schemes {
+		m, err := sc.Build(env, 0)
+		if err != nil {
+			return t, fmt.Errorf("building %s: %w", sc.Name, err)
+		}
+		t.AddRow(sc.Name, fmt.Sprintf("%.2f", float64(m.StorageBits())/8/1024/float64(env.Banks)))
+	}
+	return t, nil
 }
 
 // Fig19 reproduces Figure 19: PRAC (MOAT) vs MINT(DREAM-R) vs DREAM-C —

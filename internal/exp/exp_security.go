@@ -1,13 +1,15 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/addrmap"
 	dreamcore "repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/dram"
+	"repro/internal/memctrl"
 	"repro/internal/security"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tracker"
 	"repro/internal/workload"
@@ -62,33 +64,31 @@ func Table3(o Options) error {
 // gang-focused attack measuring the slowdown it inflicts on co-running
 // benign cores.
 func DoS(o Options) error {
-	// Analytic round arithmetic.
-	ti := sim.NS(46)
-	tbus := sim.NS(64.0 / 24.0)
+	// Analytic round arithmetic: one mitigation round is the gang's explicit
+	// sampling burst plus a DRFMab (411 ns).
+	ti := dram.DefaultTimings()
+	roundNS := (memctrl.GangSampleDur + ti.TDRFMab).Nanoseconds()
 	t := stats.Table{Title: "DoS analysis (§5.5): DREAM-C worst-case throughput",
 		Columns: []string{"T_RH", "T_TH", "attack ns/round", "block ns/round", "throughput factor"}}
 	for _, trh := range []int{125, 250, 500} {
 		tth := trh / 2
-		rounds := float64(security.DreamCGangSize(trh) / 32)
-		attackNS, blockNS := security.DoSRoundNS(tth, ti, tbus, 411*rounds)
+		rounds := float64(security.DreamCGangSize(trh) / security.BanksPerSubChannel)
+		attackNS, blockNS := security.DoSRoundNS(tth, ti.TRC, ti.TBUS, roundNS*rounds)
 		t.AddRow(fmt.Sprintf("%d", trh), fmt.Sprintf("%d", tth),
 			fmt.Sprintf("%.0f", attackNS), fmt.Sprintf("%.0f", blockNS),
 			fmt.Sprintf("%.2fx", security.DoSThroughputFactor(attackNS, blockNS)))
 	}
 	fmt.Fprintln(o.out(), t.String())
 
-	// Simulated attack: core 0 hammers one gang; cores 1..7 run mcf.
+	// Simulated attack: core 0 hammers one gang of the scheme's sub-channel
+	// 0 tracker; cores 1..7 run mcf.
 	trh := 125
-	env := Env{TRH: trh, Banks: 32, RowsPerBank: 128 * 1024, Seed: o.seed(),
-		ResetPeriod: 8192, ScaledTTH: func(u int) uint32 { return uint32(u) }}
-	probe, err := dreamcore.NewDreamC(dreamcore.DreamCConfig{
-		TRH: trh, Banks: 32, RowsPerBank: 128 * 1024,
-		Grouping: dreamcore.GroupRandomized,
-	}, env.RNG(0))
+	sc := DreamC(dreamcore.GroupRandomized, 1, false)
+	probe, err := sc.Build(unscaledEnv(trh, o.seed()), 0)
 	if err != nil {
 		return err
 	}
-	gang := probe.GangRows(12345)[0]
+	gang := probe.(*dreamcore.DreamC).GangRows(12345)[0]
 	mapper, err := addrmap.NewMOP4(addrmap.Default())
 	if err != nil {
 		return err
@@ -118,7 +118,6 @@ func DoS(o Options) error {
 		}
 		return traces, nil
 	}
-	sc := DreamC(dreamcore.GroupRandomized, 1, false)
 	var victims [2]stats.RunResult
 	for i, attack := range []bool{false, true} {
 		traces, err := mkTraces(attack)
@@ -234,44 +233,30 @@ func Security(o Options) error {
 	return nil
 }
 
-// AblationPagePolicy sweeps the MOP close-after-N page-policy cap.
+// AblationPagePolicy sweeps the MOP close-after-N page-policy cap: one
+// baseline campaign cell per (workload, cap), workload-major.
 func AblationPagePolicy(o Options) error {
 	wls := o.workloads()
 	caps := []int{1, 4, 16}
 	t := stats.Table{Title: "Ablation: page policy (baseline IPC sum by MOP cap)",
 		Columns: []string{"workload", "cap=1 (closed)", "cap=4 (MOP)", "cap=16 (open)"}}
-	type job struct {
-		wl  string
-		cap int
-	}
-	var jobs []job
-	for _, wl := range wls {
-		for _, c := range caps {
-			jobs = append(jobs, job{wl, c})
+	var cells []CampaignCell
+	for _, c := range PlanGridBase(wls, 2000, 8, o.accesses(), o.seed()) {
+		for _, mop := range caps {
+			c.MOPCap = mop
+			cells = append(cells, c)
 		}
 	}
-	results, err := Parallel(len(jobs), func(i int) (stats.RunResult, error) {
-		j := jobs[i]
-		return Run(RunConfig{
-			Workload: j.wl, Cores: 8, AccessesPerCore: o.accesses(),
-			TRH: 2000, Scheme: Baseline, Seed: o.seed(), MOPCap: j.cap,
-		})
-	})
-	if err != nil {
-		return err
-	}
-	byWL := make(map[string]map[int]float64)
-	for i, j := range jobs {
-		if byWL[j.wl] == nil {
-			byWL[j.wl] = make(map[int]float64)
+	results := o.executor().ExecCells(context.Background(), cells)
+	for i, wl := range wls {
+		row := []string{wl}
+		for _, r := range results[i*len(caps) : (i+1)*len(caps)] {
+			if r.Err != nil {
+				return r.Err
+			}
+			row = append(row, fmt.Sprintf("%.2f", r.Res.IPCSum()))
 		}
-		byWL[j.wl][j.cap] = results[i].IPCSum()
-	}
-	for _, wl := range wls {
-		t.AddRow(wl,
-			fmt.Sprintf("%.2f", byWL[wl][1]),
-			fmt.Sprintf("%.2f", byWL[wl][4]),
-			fmt.Sprintf("%.2f", byWL[wl][16]))
+		t.AddRow(row...)
 	}
 	fmt.Fprintln(o.out(), t.String())
 	return nil

@@ -124,6 +124,33 @@ func TestTable6HeadlineNumbers(t *testing.T) {
 	}
 }
 
+// TestFig17StorageTable: Figure 17's storage column is each design's
+// unscaled storage at T_RH 125 (the paper's 19 / 3 / 6 KB per bank), built
+// without simulating anything.
+func TestFig17StorageTable(t *testing.T) {
+	tb, err := storageTable("Figure 17: storage", 125, []Scheme{
+		ABACuS(),
+		DreamC(dreamcore.GroupRandomized, 1, false),
+		DreamC(dreamcore.GroupRandomized, 2, false),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"abacus", "19.00"},
+		{"dreamc-randomized", "3.00"},
+		{"dreamc-randomized-2x", "6.00"},
+	}
+	if len(tb.Rows) != len(want) {
+		t.Fatalf("rows = %v, want %v", tb.Rows, want)
+	}
+	for i, w := range want {
+		if got := tb.Rows[i]; len(got) != 2 || got[0] != w[0] || got[1] != w[1] {
+			t.Errorf("row %d = %v, want %v", i, got, w)
+		}
+	}
+}
+
 func TestParallelPreservesOrderAndErrors(t *testing.T) {
 	vals, err := Parallel(5, func(i int) (int, error) { return i * i, nil })
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/harness"
 	"repro/internal/stats"
@@ -323,13 +322,4 @@ func averageBy(wls []string, names []string, slow map[string]map[string]float64)
 		avg[s] /= float64(cnt[s])
 	}
 	return avg
-}
-
-func sortedFloatKeys(m map[int]float64) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

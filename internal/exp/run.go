@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/addrmap"
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -46,6 +47,22 @@ type Env struct {
 
 // RNG derives a deterministic per-sub-channel generator.
 func (e Env) RNG(sub int) *sim.RNG { return sim.NewRNG(e.Seed ^ uint64(sub+1)*0x517cc1b727220a95) }
+
+// unscaledEnv is the Env of a run covering the whole refresh window at trh
+// on the default geometry: counter thresholds unscaled and one tracker reset
+// per memctrl.RefsPerWindow REFs. Figure 17's storage table and the DoS
+// probe build trackers from it.
+func unscaledEnv(trh int, seed uint64) Env {
+	geom := addrmap.Default()
+	return Env{
+		TRH:         trh,
+		Banks:       geom.Banks,
+		RowsPerBank: geom.Rows,
+		ResetPeriod: memctrl.RefsPerWindow,
+		ScaledTTH:   func(unscaled int) uint32 { return uint32(unscaled) },
+		Seed:        seed,
+	}
+}
 
 // Scheme names a mitigation configuration and knows how to build it.
 type Scheme struct {
@@ -564,7 +581,7 @@ func runUncached(cfg RunConfig, attempt int) (res stats.RunResult, err error) {
 	}
 	sysCfg.MaxTime = cfg.MaxTime
 
-	resetPeriod := uint64(float64(8192) * cfg.WindowScale)
+	resetPeriod := uint64(float64(memctrl.RefsPerWindow) * cfg.WindowScale)
 	if resetPeriod < 8 {
 		resetPeriod = 8
 	}

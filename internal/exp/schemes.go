@@ -18,7 +18,7 @@ func PARAWith(mode tracker.Mode) Scheme {
 	return Scheme{
 		Name: "para-" + lower(mode.String()),
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
-			return tracker.NewPARA(tracker.PARAProb(env.TRH), mode, env.RNG(sub))
+			return tracker.NewPARA(security.PARAProb(env.TRH), mode, env.RNG(sub))
 		},
 	}
 }
@@ -29,7 +29,7 @@ func MINTWith(mode tracker.Mode) Scheme {
 	return Scheme{
 		Name: "mint-" + lower(mode.String()),
 		Build: func(env Env, sub int) (memctrl.Mitigator, error) {
-			return tracker.NewMINT(tracker.MINTWindow(env.TRH), env.Banks, mode, env.RNG(sub))
+			return tracker.NewMINT(security.MINTWindow(env.TRH), env.Banks, mode, env.RNG(sub))
 		},
 	}
 }

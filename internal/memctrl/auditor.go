@@ -36,7 +36,7 @@ type Auditor struct {
 }
 
 // NewAuditor builds an auditor for banks of rows rows, with refsPerWindow
-// REF commands per refresh window (8192 for DDR5).
+// REF commands per refresh window (RefsPerWindow for DDR5).
 func NewAuditor(rows int, refsPerWindow uint64) *Auditor {
 	a := &Auditor{
 		rows:       rows,

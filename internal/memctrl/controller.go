@@ -28,21 +28,26 @@ type Request struct {
 	seq uint64
 }
 
+// Fixed controller and device parameters of the Table-2 machine.
+const (
+	// WriteHi / WriteLo are the write-drain watermarks.
+	WriteHi, WriteLo = 24, 4
+	// ChipLatency is added to every load completion (LLC fill + on-chip
+	// traversal): 16 ns.
+	ChipLatency Tick = 16 * sim.TicksPerNS
+	// GangSampleDur is the sub-channel blockage of one 32-bank explicit
+	// sampling burst ahead of a DRFMab (411 ns round - 280 ns DRFMab).
+	GangSampleDur Tick = 131 * sim.TicksPerNS
+	// RefsPerWindow is the number of REF commands per tREFW (8192); every
+	// tracker's reset period is this number, scaled by the run's window.
+	RefsPerWindow = 8192
+)
+
 // Config holds controller policy parameters.
 type Config struct {
 	// MOPCap is the Minimalist-Open-Page close-after-N-column-accesses
 	// limit (4, matching the MOP4 mapping's burst).
 	MOPCap int
-	// WriteHi / WriteLo are the write-drain watermarks.
-	WriteHi, WriteLo int
-	// ChipLatency is added to every load completion (LLC fill + on-chip
-	// traversal).
-	ChipLatency Tick
-	// GangSampleDur is the sub-channel blockage of one 32-bank explicit
-	// sampling burst ahead of a DRFMab (411 ns round - 280 ns DRFMab).
-	GangSampleDur Tick
-	// RefsPerWindow is the number of REF commands per tREFW (8192).
-	RefsPerWindow uint64
 	// EnableAudit attaches the security auditor (per-row maps; costs
 	// performance, used by attack experiments).
 	EnableAudit bool
@@ -61,14 +66,7 @@ type Config struct {
 
 // DefaultConfig returns the baseline controller policy.
 func DefaultConfig() Config {
-	return Config{
-		MOPCap:        4,
-		WriteHi:       24,
-		WriteLo:       4,
-		ChipLatency:   sim.NS(16),
-		GangSampleDur: sim.NS(131),
-		RefsPerWindow: 8192,
-	}
+	return Config{MOPCap: 4}
 }
 
 // Controller schedules requests onto one DRAM sub-channel with FR-FCFS,
@@ -119,7 +117,7 @@ type Controller struct {
 // onDone is invoked for every completed demand load.
 func New(cfg Config, dev *dram.SubChannel, mit Mitigator,
 	onDone func(core int, token uint64, done Tick)) (*Controller, error) {
-	if cfg.MOPCap <= 0 || cfg.WriteHi <= cfg.WriteLo || cfg.RefsPerWindow == 0 {
+	if cfg.MOPCap <= 0 {
 		return nil, fmt.Errorf("memctrl: invalid config %+v", cfg)
 	}
 	if mit == nil {
@@ -144,7 +142,7 @@ func New(cfg Config, dev *dram.SubChannel, mit Mitigator,
 		c.sched = newBankedSched(c, dev.NumBanks())
 	}
 	if cfg.EnableAudit {
-		c.Auditor = NewAuditor(1<<31, cfg.RefsPerWindow)
+		c.Auditor = NewAuditor(1<<31, RefsPerWindow)
 	}
 	if cfg.EnableCharacterization {
 		c.RowACTs = rowtable.New(1 << 12)
@@ -208,10 +206,10 @@ func (c *Controller) startTime(r Request) (Tick, bool) {
 func (c *Controller) wantWrites() bool {
 	reads, writes := c.sched.lens()
 	if c.draining {
-		if writes <= c.cfg.WriteLo {
+		if writes <= WriteLo {
 			c.draining = false
 		}
-	} else if writes >= c.cfg.WriteHi || (reads == 0 && writes > 0) {
+	} else if writes >= WriteHi || (reads == 0 && writes > 0) {
 		c.draining = true
 	}
 	return c.draining
@@ -224,7 +222,7 @@ func (c *Controller) wantWrites() bool {
 func (c *Controller) NextWake(now Tick) Tick {
 	w := c.nextRefresh
 	reads, writes := c.sched.lens()
-	includeWrites := writes > 0 && (c.draining || writes >= c.cfg.WriteHi || reads == 0)
+	includeWrites := writes > 0 && (c.draining || writes >= WriteHi || reads == 0)
 	// Quiescence fast-forward: when the next Process call is certain to run
 	// in write-drain mode — and the drain is certain to stay open until a
 	// write is actually serviced — pending reads are ineligible however many
@@ -240,7 +238,7 @@ func (c *Controller) NextWake(now Tick) Tick {
 	if includeWrites {
 		mode = minReadsWrites
 		if !c.cfg.DisableFastForward &&
-			((c.draining && writes > c.cfg.WriteLo) || writes >= c.cfg.WriteHi) {
+			((c.draining && writes > WriteLo) || writes >= WriteHi) {
 			mode = minWrites
 		}
 	}
@@ -349,7 +347,7 @@ func (c *Controller) service(r Request, start Tick) error {
 			c.Obs.OnReadLatency(done - r.Arrival)
 		}
 		if r.Notify && c.onDone != nil {
-			c.onDone(r.Core, r.Token, done+c.cfg.ChipLatency)
+			c.onDone(r.Core, r.Token, done+ChipLatency)
 		}
 	}
 
@@ -516,7 +514,7 @@ func (c *Controller) execOp(op Op, after Tick) (Tick, error) {
 			return 0, err
 		}
 		for _, rows := range op.GangRows {
-			if err := c.dev.ExplicitSampleAll(t, rows, c.cfg.GangSampleDur); err != nil {
+			if err := c.dev.ExplicitSampleAll(t, rows, GangSampleDur); err != nil {
 				return 0, err
 			}
 			if c.Auditor != nil {
@@ -526,7 +524,7 @@ func (c *Controller) execOp(op Op, after Tick) (Tick, error) {
 					}
 				}
 			}
-			t += c.cfg.GangSampleDur
+			t += GangSampleDur
 			mits, err := c.dev.DRFMab(t)
 			if err != nil {
 				return 0, err
@@ -534,9 +532,9 @@ func (c *Controller) execOp(op Op, after Tick) (Tick, error) {
 			t += ti.TDRFMab
 			c.sched.dirtyAll()
 			c.reportMits(t, mits)
-			c.MitStallBank += (c.cfg.GangSampleDur + ti.TDRFMab) * Tick(c.dev.NumBanks())
+			c.MitStallBank += (GangSampleDur + ti.TDRFMab) * Tick(c.dev.NumBanks())
 			if c.Obs != nil {
-				c.Obs.AddStallAll(obs.CauseGang, c.cfg.GangSampleDur+ti.TDRFMab)
+				c.Obs.AddStallAll(obs.CauseGang, GangSampleDur+ti.TDRFMab)
 				c.Obs.OnOp(t, obs.CauseGang, 0, 0)
 			}
 		}

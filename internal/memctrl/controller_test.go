@@ -83,7 +83,7 @@ func TestServiceSimpleRead(t *testing.T) {
 		t.Fatalf("completions = %d", len(*dones))
 	}
 	ti := c.Device().Timings
-	want := ti.TRCD + ti.TCL + ti.TBUS + c.cfg.ChipLatency
+	want := ti.TRCD + ti.TCL + ti.TBUS + ChipLatency
 	if (*dones)[0] != want {
 		t.Errorf("completion at %v, want %v", (*dones)[0], want)
 	}
@@ -176,7 +176,7 @@ func TestWriteDrain(t *testing.T) {
 	}
 	drive(t, c, sim.NS(5000))
 	_, w := c.QueueLens()
-	if w > c.cfg.WriteLo {
+	if w > WriteLo {
 		t.Errorf("writes pending after drain = %d", w)
 	}
 	if c.WritesServed < 26 {

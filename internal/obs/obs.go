@@ -215,9 +215,6 @@ func NewRun(opts Options, meta Meta) *Run {
 	return r
 }
 
-// Options reports the run's effective (default-filled) options.
-func (r *Run) Options() Options { return r.opts }
-
 // Meta reports the run identity the recorder was built with.
 func (r *Run) Meta() Meta { return r.meta }
 

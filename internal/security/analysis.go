@@ -3,6 +3,13 @@
 // MINT window revision, the §6.2 RMAQ rate-limit impact on tolerated
 // thresholds (Table 7), the Figure-11 inter-selection Monte Carlo, and the
 // storage calculators behind Tables 1 and 6 and the §5.8 ABACuS comparison.
+//
+// It is the one home of every formula and constant the analysis shares with
+// the simulated trackers (PARA's p, MINT's window and its revisions, the
+// ATM threshold, the RMAQ depth, Graphene's entries, DREAM-C's gang, the
+// storage bit counts): internal/tracker and internal/core call these
+// functions rather than restating them, so a table and the tracker that
+// runs it cannot drift.
 package security
 
 import (
@@ -52,8 +59,9 @@ func RevisedPARAProb(trh int) float64 {
 	return (lo + hi) / 2
 }
 
-// RevisedPARAProbApprox is the paper's closed-form revision p·(20/17).
-func RevisedPARAProbApprox(trh int) float64 { return PARAProb(trh) * 20.0 / 17.0 }
+// RevisedPARAProbApprox is the paper's closed-form revision p·(20/17), the
+// probability DREAM-R/PARA runs without ATM.
+func RevisedPARAProbApprox(trh int) float64 { return PARAProb(trh) * (20.0 / 17.0) }
 
 // MINTWindow is the coupled-MINT window: T_RH = 20·W.
 func MINTWindow(trh int) int { return trh / 20 }
@@ -78,6 +86,11 @@ func DelayedMINTToleratedTRH(w int) float64 { return 20.5 * float64(w) }
 // RevisedMINTWindow solves 20.5·W = T_RH for DREAM-R without ATM
 // (97 at T_RH = 2000).
 func RevisedMINTWindow(trh int) int { return int(float64(trh) / 20.5) }
+
+// ATMTH is the §4.4 Active Target-row Monitoring trigger: if the row
+// sitting in a DAR awaiting its delayed DRFM receives this many further
+// activations, the DRFM is issued immediately.
+const ATMTH = 20
 
 // ATMWindow/ATMProb are the Table-4 parameters with Active Target-row
 // Monitoring: unsafe activations are capped at ATM-TH, so the tracker
@@ -161,7 +174,7 @@ func Validate() error {
 	if w := RevisedMINTWindow(2000); w != 97 {
 		return fmt.Errorf("security: revised MINT window at 2K = %d, want 97", w)
 	}
-	if w := ATMWindow(2000, 20); w != 99 {
+	if w := ATMWindow(2000, ATMTH); w != 99 {
 		return fmt.Errorf("security: ATM MINT window at 2K = %d, want 99", w)
 	}
 	p := RevisedPARAProb(2000)

@@ -18,6 +18,10 @@ func TestPARAProbabilities(t *testing.T) {
 	if p := PARAProb(2000); p != 0.01 {
 		t.Errorf("PARAProb = %v", p)
 	}
+	// Table 4: DREAM-R/PARA without ATM runs at p′ = 1/85 at T_RH = 2000.
+	if inv := 1 / RevisedPARAProbApprox(2000); inv < 84 || inv > 86 {
+		t.Errorf("revised PARA p = 1/%.1f, want ~1/85", inv)
+	}
 	// Appendix A Equation 1: the Gamma tail at the coupled design point is
 	// ~20x the exponential tail (1 + pT = 21 with pT = 20).
 	exp := math.Exp(-20.0)
@@ -89,7 +93,8 @@ func TestRMAQImpactMatchesTable7(t *testing.T) {
 }
 
 func TestRMAQEntriesTable(t *testing.T) {
-	for _, c := range []struct{ w, want int }{{25, 6}, {50, 3}, {100, 2}} {
+	// §6.1: W = 25/50/100 need 6/3/2 entries; huge windows floor at 2.
+	for _, c := range []struct{ w, want int }{{25, 6}, {50, 3}, {100, 2}, {1000, 2}} {
 		if got := RMAQEntries(c.w); got != c.want {
 			t.Errorf("RMAQEntries(%d) = %d, want %d", c.w, got, c.want)
 		}
@@ -97,9 +102,14 @@ func TestRMAQEntriesTable(t *testing.T) {
 }
 
 func TestGrapheneStorageTable1(t *testing.T) {
-	// Table 1: 15.2 / 7.9 / 4.1 KB per bank (we land within 10%).
+	// Table 1: 4800 / 2400 / 1200 entries and 15.2 / 7.9 / 4.1 KB per bank
+	// (we land within 10%).
+	entries := map[int]int{250: 4800, 500: 2400, 1000: 1200}
 	paper := map[int]float64{250: 15.2, 500: 7.9, 1000: 4.1}
 	for trh, want := range paper {
+		if got := GrapheneEntries(trh); got != entries[trh] {
+			t.Errorf("GrapheneEntries(%d) = %d, want %d", trh, got, entries[trh])
+		}
 		got := GrapheneKBPerBank(trh)
 		if got < want*0.9 || got > want*1.1 {
 			t.Errorf("Graphene(%d) = %.1f KB/bank, paper says %.1f", trh, got, want)
@@ -115,9 +125,15 @@ func TestDreamCStorageTable6(t *testing.T) {
 			t.Errorf("DreamC(%d) = %.2f KB/bank, paper says %.2f", trh, got, want)
 		}
 	}
+	// Gangs of 32·V rows, V = 1/2/4/8 DRFMab rounds.
 	rows := DreamCTable6()
-	if len(rows) != 4 || rows[0].GangSize != 32 || rows[3].NumDRFMab != 8 {
-		t.Errorf("Table 6 rows = %+v", rows)
+	if len(rows) != 4 {
+		t.Fatalf("Table 6 rows = %+v", rows)
+	}
+	for i, v := range []int{1, 2, 4, 8} {
+		if r := rows[i]; r.GangSize != 32*v || r.NumDRFMab != v {
+			t.Errorf("Table 6 row %+v, want gang %d and %d DRFMab", r, 32*v, v)
+		}
 	}
 	// The headline: ~8x lower than Graphene at 500.
 	ratio, err := StorageRatio(GrapheneKBPerBank(500), DreamCKBPerBank(500, 1))

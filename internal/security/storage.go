@@ -4,7 +4,9 @@ import "fmt"
 
 // Storage calculators for the paper's Tables 1 and 6 and the §5.8 ABACuS
 // comparison. All sizes are per bank unless noted; the baseline geometry is
-// 32 banks per sub-channel, 128 K rows per bank, 17-bit row addresses.
+// 32 banks per sub-channel, 128 K rows per bank, 17-bit row addresses. The
+// simulated trackers size their tables and storage from the same constants
+// and formulas.
 
 // Baseline geometry constants.
 const (
@@ -12,7 +14,8 @@ const (
 	RowsPerBank        = 128 * 1024
 	RowAddrBits        = 17
 	// MaxACTsPerWindow is one bank's activation capacity per tREFW after
-	// refresh overheads (the paper's 600 K "maximum safe value").
+	// refresh overheads, ≈ (tREFW − 8192·tRFC)/tRC: the 600 K "maximum safe
+	// value" of §5.8's footnote. Graphene's entry count is this over T_TH.
 	MaxACTsPerWindow = 600_000
 )
 
@@ -180,10 +183,18 @@ func ProbEvasionProb(p float64, n int) float64 {
 	return out
 }
 
+// ATMBitsPerBank is the §4.4 ATM register: a 5-bit counter for ATMTH, the
+// mirrored DAR row address and a valid bit.
+const ATMBitsPerBank = 5 + RowAddrBits + 1
+
+// RMAQBitsPerEntry is one §6.1 RMAQ entry: a valid bit, a row address and a
+// 2-bit tREFI id (20 bits).
+const RMAQBitsPerEntry = 1 + RowAddrBits + 2
+
 // ATMBytesPerBank is the §4.4 ATM cost (~3 bytes per bank).
-func ATMBytesPerBank() float64 { return float64(5+RowAddrBits+1) / 8 }
+func ATMBytesPerBank() float64 { return float64(ATMBitsPerBank) / 8 }
 
 // RMAQBytesPerBank is the §6.1 RMAQ cost for a MINT window (5–15 bytes).
 func RMAQBytesPerBank(w int) float64 {
-	return float64(RMAQEntries(w)*(1+RowAddrBits+2)) / 8
+	return float64(RMAQEntries(w)*RMAQBitsPerEntry) / 8
 }

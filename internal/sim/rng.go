@@ -83,16 +83,3 @@ func (r *RNG) Bernoulli(p float64) bool {
 func (r *RNG) Fork(label uint64) *RNG {
 	return NewRNG(r.Uint64() ^ (label * 0x9e3779b97f4a7c15))
 }
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -47,9 +47,6 @@ func TestTickConversions(t *testing.T) {
 	if got := Tick(12e6).Milliseconds(); math.Abs(got-1) > 1e-12 {
 		t.Errorf("Milliseconds = %v, want 1", got)
 	}
-	if got := Tick(300).CPUCycles(); got != 100 {
-		t.Errorf("CPUCycles = %d, want 100", got)
-	}
 }
 
 func TestAlignUp(t *testing.T) {
@@ -152,18 +149,6 @@ func TestRNGBernoulli(t *testing.T) {
 	}
 	if !r.Bernoulli(1) {
 		t.Error("Bernoulli(1) must be true")
-	}
-}
-
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(13)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
 	}
 }
 

@@ -47,9 +47,6 @@ func (t Tick) Microseconds() float64 { return float64(t) / (TicksPerNS * 1e3) }
 // Milliseconds reports the tick duration in milliseconds.
 func (t Tick) Milliseconds() float64 { return float64(t) / (TicksPerNS * 1e6) }
 
-// CPUCycles reports how many whole CPU cycles fit in t.
-func (t Tick) CPUCycles() int64 { return int64(t / CPUCycle) }
-
 // String formats the time with a readable unit.
 func (t Tick) String() string {
 	switch {

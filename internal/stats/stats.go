@@ -5,7 +5,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -102,33 +101,6 @@ func SlowdownWS(base, scheme RunResult, aloneIPC []float64) (float64, error) {
 	return 1 - ws/wb, nil
 }
 
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Geomean returns the geometric mean of positive values.
-func Geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Table formats rows of labelled values as an aligned text table.
 type Table struct {
 	Title   string
@@ -184,40 +156,4 @@ func Pct(f float64) string {
 		return "FAIL"
 	}
 	return fmt.Sprintf("%.2f%%", 100*f)
-}
-
-// SortedKeys returns map keys in sorted order (deterministic reports).
-func SortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// CSV renders the table as comma-separated values (for plotting scripts);
-// cells containing commas or quotes are quoted.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(c, "\"", "\"\""))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	for _, r := range t.Rows {
-		writeRow(r)
-	}
-	return b.String()
 }

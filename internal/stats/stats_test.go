@@ -46,21 +46,6 @@ func TestSlowdownWS(t *testing.T) {
 	}
 }
 
-func TestMeansAndGeomean(t *testing.T) {
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean wrong")
-	}
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) must be 0")
-	}
-	if g := Geomean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("Geomean = %v", g)
-	}
-	if Geomean([]float64{1, 0}) != 0 {
-		t.Error("non-positive values must give 0")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := Table{Title: "demo", Columns: []string{"a", "longcol"}}
 	tb.AddRow("x", "1")
@@ -78,23 +63,5 @@ func TestTableRendering(t *testing.T) {
 func TestPct(t *testing.T) {
 	if got := Pct(0.1234); got != "12.34%" {
 		t.Errorf("Pct = %q", got)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Errorf("SortedKeys = %v", got)
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := Table{Columns: []string{"a", "b"}}
-	tb.AddRow("x,y", `q"z`)
-	got := tb.CSV()
-	want := "a,b\n\"x,y\",\"q\"\"z\"\n"
-	if got != want {
-		t.Errorf("CSV = %q, want %q", got, want)
 	}
 }

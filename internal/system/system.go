@@ -51,11 +51,6 @@ type Config struct {
 	// runs unprotected.
 	NewMitigator func(sub int) memctrl.Mitigator
 
-	// ReqLatency is core-to-controller request latency.
-	ReqLatency Tick
-	// LLCHitLatency is the load-to-use latency of an LLC hit.
-	LLCHitLatency Tick
-
 	// MaxTime aborts runaway simulations.
 	MaxTime Tick
 
@@ -78,17 +73,23 @@ type Config struct {
 	Obs *obs.Run
 }
 
+// Fixed on-chip latencies of the Table-2 machine.
+const (
+	// ReqLatency is core-to-controller request latency (10 ns).
+	ReqLatency Tick = 10 * sim.TicksPerNS
+	// LLCHitLatency is the load-to-use latency of an LLC hit.
+	LLCHitLatency = 40 * sim.CPUCycle
+)
+
 // DefaultConfig returns the Table-2 machine.
 func DefaultConfig() Config {
 	return Config{
-		CoreCfg:       cpu.DefaultConfig(),
-		CacheCfg:      cache.DefaultConfig(),
-		Geometry:      addrmap.Default(),
-		Timings:       dram.DefaultTimings(),
-		CtrlCfg:       memctrl.DefaultConfig(),
-		ReqLatency:    sim.NS(10),
-		LLCHitLatency: 40 * sim.CPUCycle,
-		MaxTime:       sim.Forever,
+		CoreCfg:  cpu.DefaultConfig(),
+		CacheCfg: cache.DefaultConfig(),
+		Geometry: addrmap.Default(),
+		Timings:  dram.DefaultTimings(),
+		CtrlCfg:  memctrl.DefaultConfig(),
+		MaxTime:  sim.Forever,
 	}
 }
 
@@ -268,7 +269,7 @@ func (s *System) Load(core int, when Tick, lineAddr uint64, token uint64) (Tick,
 		s.enqueue(res.WritebackAddr, when, true, core, 0, false)
 	}
 	if res.Hit {
-		return when + s.cfg.LLCHitLatency, false
+		return when + LLCHitLatency, false
 	}
 	s.demandRds++
 	s.enqueue(lineAddr, when, false, core, token, true)
@@ -293,7 +294,7 @@ func (s *System) enqueue(lineAddr uint64, when Tick, isWrite bool, core int, tok
 		s.wbWrites++
 	}
 	loc := s.mapper.Map(lineAddr)
-	arrival := sim.MaxTick(when+s.cfg.ReqLatency, s.now)
+	arrival := sim.MaxTick(when+ReqLatency, s.now)
 	s.ctrls[loc.Sub].Enqueue(memctrl.Request{
 		Arrival: arrival,
 		Bank:    loc.Bank,

@@ -52,7 +52,7 @@ func NewABACuS(cfg ABACuSConfig) (*ABACuS, error) {
 		return nil, fmt.Errorf("tracker: ABACuS needs rows")
 	}
 	if cfg.ResetPeriod == 0 {
-		cfg.ResetPeriod = 8192
+		cfg.ResetPeriod = memctrl.RefsPerWindow
 	}
 	tth := cfg.TTHOverride
 	if tth == 0 {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/memctrl"
+	"repro/internal/security"
 )
 
 // DAPPER models the performance-attack-resilient tracker [Saxena & Qureshi,
@@ -47,7 +48,7 @@ type DAPPERConfig struct {
 	TRH   int
 	Banks int
 	// Entries is the per-bank space-saving table size. Zero derives the
-	// Graphene-secure size MaxACTsPerWindow/(TRH/2); experiments pass an
+	// Graphene-secure size security.GrapheneEntries; experiments pass an
 	// equal-storage-budget size instead (security.DAPPEREntries).
 	Entries int
 	// TTHOverride replaces the default T_RH/2 mitigation threshold
@@ -57,7 +58,8 @@ type DAPPERConfig struct {
 	MitPerRef int
 	// PendingDepth bounds each bank's pending queue (default 8).
 	PendingDepth int
-	// ResetPeriod is REFs between table resets (default 8192).
+	// ResetPeriod is REFs between table resets (default
+	// memctrl.RefsPerWindow).
 	ResetPeriod uint64
 }
 
@@ -74,7 +76,7 @@ func NewDAPPER(cfg DAPPERConfig) (*DAPPER, error) {
 		return nil, fmt.Errorf("tracker: DAPPER needs banks")
 	}
 	if cfg.Entries == 0 {
-		cfg.Entries = GrapheneEntries(cfg.TRH)
+		cfg.Entries = security.GrapheneEntries(cfg.TRH)
 	}
 	if cfg.Entries < 1 {
 		return nil, fmt.Errorf("tracker: DAPPER needs at least one table entry")
@@ -86,7 +88,7 @@ func NewDAPPER(cfg DAPPERConfig) (*DAPPER, error) {
 		cfg.PendingDepth = 8
 	}
 	if cfg.ResetPeriod == 0 {
-		cfg.ResetPeriod = 8192
+		cfg.ResetPeriod = memctrl.RefsPerWindow
 	}
 	d := &DAPPER{
 		entries:     cfg.Entries,
@@ -180,10 +182,10 @@ func (d *DAPPER) OnRefresh(now Tick, refIndex uint64) []memctrl.Op {
 // Graphene) plus the pending queues (row tag per slot).
 func (d *DAPPER) StorageBits() int64 {
 	ctrBits := bitsFor(uint64(d.tth))
-	perBank := int64(d.entries) * int64(rowAddressBits+ctrBits)
+	perBank := int64(d.entries) * int64(security.RowAddrBits+ctrBits)
 	var bits int64
 	for i := range d.pending {
-		bits += perBank + int64(cap(d.pending[i].rows))*int64(rowAddressBits)
+		bits += perBank + int64(cap(d.pending[i].rows))*int64(security.RowAddrBits)
 	}
 	return bits
 }

@@ -6,23 +6,14 @@ import (
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/rowtable"
+	"repro/internal/security"
 )
-
-// MaxACTsPerWindow is the maximum activations one bank can receive in a
-// refresh window after REF overheads: ≈ (tREFW − 8192·tRFC)/tRC ≈ 600 K,
-// the "maximum safe value" the paper quotes in §5.8's footnote. Graphene's
-// entry count is MaxACTsPerWindow / T_TH.
-const MaxACTsPerWindow = 600_000
-
-// GrapheneEntries returns the per-bank Misra–Gries table size for a
-// double-sided threshold: with T_TH = T_RH/2 this reproduces Table 1
-// (1200 entries at T_RH = 1000, 2400 at 500, 4800 at 250).
-func GrapheneEntries(trh int) int { return MaxACTsPerWindow / (trh / 2) }
 
 // Graphene is the counter-based tracker [Park+, MICRO'20]: a per-bank
 // frequent-element (Misra–Gries / space-saving) table that mitigates a row
-// whenever its estimated count reaches T_TH = T_RH/2. The table resets once
-// per refresh window. Graphene needs CAM lookups in hardware; here the CAM
+// whenever its estimated count reaches T_TH = T_RH/2. The table holds
+// security.GrapheneEntries rows per bank (Table 1) and resets once per
+// refresh window. Graphene needs CAM lookups in hardware; here the CAM
 // is a map plus a count-ordered heap.
 type Graphene struct {
 	entries int
@@ -43,7 +34,7 @@ type GrapheneConfig struct {
 	TRH         int
 	Banks       int
 	Mode        Mode
-	ResetPeriod uint64 // REFs between table resets (8192 unscaled)
+	ResetPeriod uint64 // REFs between table resets (memctrl.RefsPerWindow unscaled)
 }
 
 // NewGraphene builds the tracker.
@@ -55,10 +46,10 @@ func NewGraphene(cfg GrapheneConfig) (*Graphene, error) {
 		return nil, fmt.Errorf("tracker: Graphene needs banks")
 	}
 	if cfg.ResetPeriod == 0 {
-		cfg.ResetPeriod = 8192
+		cfg.ResetPeriod = memctrl.RefsPerWindow
 	}
 	g := &Graphene{
-		entries:     GrapheneEntries(cfg.TRH),
+		entries:     security.GrapheneEntries(cfg.TRH),
 		tth:         uint32(cfg.TRH / 2),
 		mode:        cfg.Mode,
 		banks:       make([]ssTable, cfg.Banks),
@@ -119,7 +110,7 @@ func (g *Graphene) OnRefresh(now Tick, refIndex uint64) []memctrl.Op {
 // reproduces the Table-1 budgets (≈4.1 KB/bank at T_RH = 1000).
 func (g *Graphene) StorageBits() int64 {
 	ctrBits := bitsFor(uint64(g.tth))
-	perBank := int64(g.entries)*int64(rowAddressBits+ctrBits) + int64(bitsFor(MaxACTsPerWindow))
+	perBank := int64(g.entries)*int64(security.RowAddrBits+ctrBits) + int64(bitsFor(security.MaxACTsPerWindow))
 	return perBank * int64(len(g.banks))
 }
 

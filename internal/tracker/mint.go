@@ -5,21 +5,18 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/memctrl"
+	"repro/internal/security"
 	"repro/internal/sim"
 )
 
-// MINTWindow returns MINT's window size for a double-sided threshold
-// (Appendix B: T_RH = 20·W; T_RH = 2000 gives W = 100).
-func MINTWindow(trh int) int { return trh / 20 }
-
 // MINT is the windowed probabilistic tracker [Qureshi+, MICRO'24] adapted
 // to the memory controller (§2.4, Figure 6). Per bank, each window of W
-// activations URAND-selects one position; the row activated at that position
-// is buffered in an MC-side Selected Address Register (SAR) — sampling at
-// selection time would leak the selection through the mitigation timing
-// channel — and mitigated when the window expires, via Explicit-Sampling
-// into the DAR followed by a DRFM. Sampling and mitigation stay coupled at
-// the window boundary.
+// activations (security.MINTWindow) URAND-selects one position; the row
+// activated at that position is buffered in an MC-side Selected Address
+// Register (SAR) — sampling at selection time would leak the selection
+// through the mitigation timing channel — and mitigated when the window
+// expires, via Explicit-Sampling into the DAR followed by a DRFM. Sampling
+// and mitigation stay coupled at the window boundary.
 type MINT struct {
 	w    int
 	mode Mode
@@ -107,5 +104,5 @@ func (t *MINT) OnRefresh(Tick, uint64) []memctrl.Op { return nil }
 // StorageBits implements memctrl.Mitigator: per bank, CAN and SAN counters
 // (7 bits each for W ≤ 128) plus the SAR row address and a valid bit.
 func (t *MINT) StorageBits() int64 {
-	return int64(len(t.banks)) * (7 + 7 + rowAddressBits + 1)
+	return int64(len(t.banks)) * (7 + 7 + security.RowAddrBits + 1)
 }

@@ -21,14 +21,13 @@ import (
 //     counter read-modify-write — comes from running the whole system with
 //     dram.PRACTimings(); it is independent of this tracker.
 //   - The *extrinsic* slowdown — ABO stalls — is modelled here: counters
-//     per (bank, row); on reaching ETH the sub-channel stalls for ABODur
-//     and the row's victims are refreshed.
+//     per (bank, row); on reaching ETH = T_RH/2 the sub-channel stalls for
+//     aboStall and the row's victims are refreshed.
 //
 // For benign workloads ABO almost never fires (§7.1), so MOAT's slowdown is
 // the intrinsic ≈9.7 % across all thresholds.
 type MOAT struct {
 	eth    uint64
-	aboDur Tick
 	counts *rowtable.Table
 
 	resetPeriod uint64
@@ -37,33 +36,26 @@ type MOAT struct {
 	ABOs uint64
 }
 
+// aboStall is the sub-channel stall of one PRAC Alert-Back-Off, shared by
+// MOAT and QPRAC's backstop (about two tRFC: 600 ns).
+const aboStall Tick = 600 * sim.TicksPerNS
+
 // MOATConfig configures the model.
 type MOATConfig struct {
 	TRH         int
-	ABODur      Tick   // sub-channel stall per ABO (default 2 x tRFC-ish 600 ns)
 	ResetPeriod uint64 // REFs between counter resets (scaled window)
-	// ETHOverride replaces the default T_RH/2 alert threshold.
-	ETHOverride uint32
 }
 
 // NewMOAT builds the model.
 func NewMOAT(cfg MOATConfig) (*MOAT, error) {
-	eth := cfg.ETHOverride
-	if eth == 0 {
-		if cfg.TRH < 4 {
-			return nil, fmt.Errorf("tracker: MOAT T_RH %d too small", cfg.TRH)
-		}
-		eth = uint32(cfg.TRH / 2)
-	}
-	if cfg.ABODur == 0 {
-		cfg.ABODur = sim.NS(600)
+	if cfg.TRH < 4 {
+		return nil, fmt.Errorf("tracker: MOAT T_RH %d too small", cfg.TRH)
 	}
 	if cfg.ResetPeriod == 0 {
-		cfg.ResetPeriod = 8192
+		cfg.ResetPeriod = memctrl.RefsPerWindow
 	}
 	return &MOAT{
-		eth:         uint64(eth),
-		aboDur:      cfg.ABODur,
+		eth:         uint64(cfg.TRH / 2),
 		counts:      rowtable.New(1 << 12),
 		resetPeriod: cfg.ResetPeriod,
 	}, nil
@@ -85,7 +77,7 @@ func (t *MOAT) OnActivate(now Tick, bank int, row uint32) memctrl.Decision {
 	// models the channel-wide back-off.
 	return memctrl.Decision{
 		PreOps: []memctrl.Op{
-			{Kind: memctrl.OpStallAll, Dur: t.aboDur},
+			{Kind: memctrl.OpStallAll, Dur: aboStall},
 			{Kind: memctrl.OpNRR, Bank: bank, Row: row},
 		},
 	}

@@ -10,7 +10,6 @@
 package tracker
 
 import (
-	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/sim"
 )
@@ -51,9 +50,3 @@ func (m Mode) drfmOp(bank int) memctrl.Op {
 	}
 	return memctrl.Op{Kind: memctrl.OpDRFMsb, Bank: bank}
 }
-
-// rowAddressBits is the row-address width of the baseline geometry
-// (128 K rows), used in storage accounting.
-const rowAddressBits = 17
-
-var _ = dram.NoRow // dram is used by sibling files in this package

@@ -8,15 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-// PARAProb returns PARA's selection probability for a double-sided
-// Rowhammer threshold (Appendix A: p·T_RH = 20 for the 40K-year bank MTTF
-// failure budget; T_RH = 2000 gives p = 1/100).
-func PARAProb(trh int) float64 { return 20.0 / float64(trh) }
-
 // PARA is the classic probabilistic tracker [Kim+, ISCA'14] implemented at
 // the memory controller with coupled sampling and mitigation (§2.6,
-// Figure 4): on each activation the row is selected with probability p; a
-// selected row is closed with Pre+Sample and mitigated immediately.
+// Figure 4): on each activation the row is selected with probability p
+// (security.PARAProb); a selected row is closed with Pre+Sample and
+// mitigated immediately.
 type PARA struct {
 	p    float64
 	mode Mode

@@ -6,6 +6,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/rowtable"
+	"repro/internal/security"
 	"repro/internal/sim"
 )
 
@@ -94,7 +95,7 @@ type ProbConfig struct {
 	// TTHOverride replaces the default T_RH/2 threshold (window-scaled in
 	// experiments).
 	TTHOverride uint32
-	ResetPeriod uint64 // REFs between table resets (default 8192)
+	ResetPeriod uint64 // REFs between table resets (default memctrl.RefsPerWindow)
 }
 
 // NewProbTracker builds the tracker; rng drives every policy coin flip, so
@@ -119,13 +120,13 @@ func NewProbTracker(cfg ProbConfig, rng *sim.RNG) (*ProbTracker, error) {
 		return nil, fmt.Errorf("tracker: unknown prob policy %d", cfg.Policy)
 	}
 	if cfg.Entries == 0 {
-		cfg.Entries = GrapheneEntries(cfg.TRH) / 8
+		cfg.Entries = security.GrapheneEntries(cfg.TRH) / 8
 	}
 	if cfg.Entries < 1 {
 		cfg.Entries = 1
 	}
 	if cfg.ResetPeriod == 0 {
-		cfg.ResetPeriod = 8192
+		cfg.ResetPeriod = memctrl.RefsPerWindow
 	}
 	t := &ProbTracker{
 		policy:      cfg.Policy,
@@ -240,7 +241,7 @@ func (t *ProbTracker) OnRefresh(now Tick, refIndex uint64) []memctrl.Op {
 // per entry per bank.
 func (t *ProbTracker) StorageBits() int64 {
 	ctrBits := bitsFor(uint64(t.tth))
-	return int64(t.entries) * int64(rowAddressBits+ctrBits) * int64(len(t.banks))
+	return int64(t.entries) * int64(security.RowAddrBits+ctrBits) * int64(len(t.banks))
 }
 
 // Tracked reports whether (bank,row) currently holds an entry — test hook.

@@ -6,7 +6,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/rowtable"
-	"repro/internal/sim"
+	"repro/internal/security"
 )
 
 // QPRAC models the priority-queue extension of PRAC [Canpolat+, 2025;
@@ -25,7 +25,6 @@ import (
 type QPRAC struct {
 	eth    uint64 // ABO backstop threshold
 	pqth   uint64 // queue admission threshold
-	aboDur Tick
 	counts *rowtable.Table
 	queues []pqueue
 
@@ -49,11 +48,11 @@ type pqueue struct {
 type QPRACConfig struct {
 	TRH   int
 	Banks int
-	// QueueDepth is the per-bank priority-queue capacity (default 4).
+	// QueueDepth is the per-bank priority-queue capacity (default
+	// security.QPRACQueueDepth).
 	QueueDepth int
-	// ABODur is the sub-channel stall per backstop ABO (default 600 ns).
-	ABODur Tick
-	// ResetPeriod is REFs between counter resets (scaled window; default 8192).
+	// ResetPeriod is REFs between counter resets (scaled window; default
+	// memctrl.RefsPerWindow).
 	ResetPeriod uint64
 	// ETHOverride replaces the default T_RH/2 alert threshold; PQTHOverride
 	// replaces the default ETH/4 queue-admission threshold. Experiments pass
@@ -88,18 +87,14 @@ func NewQPRAC(cfg QPRACConfig) (*QPRAC, error) {
 		return nil, fmt.Errorf("tracker: QPRAC needs banks")
 	}
 	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 4
-	}
-	if cfg.ABODur == 0 {
-		cfg.ABODur = sim.NS(600)
+		cfg.QueueDepth = security.QPRACQueueDepth
 	}
 	if cfg.ResetPeriod == 0 {
-		cfg.ResetPeriod = 8192
+		cfg.ResetPeriod = memctrl.RefsPerWindow
 	}
 	q := &QPRAC{
 		eth:         eth,
 		pqth:        pqth,
-		aboDur:      cfg.ABODur,
 		counts:      rowtable.New(1 << 12),
 		queues:      make([]pqueue, cfg.Banks),
 		resetPeriod: cfg.ResetPeriod,
@@ -183,7 +178,7 @@ func (t *QPRAC) OnActivate(now Tick, bank int, row uint32) memctrl.Decision {
 		t.ABOs++
 		return memctrl.Decision{
 			PreOps: []memctrl.Op{
-				{Kind: memctrl.OpStallAll, Dur: t.aboDur},
+				{Kind: memctrl.OpStallAll, Dur: aboStall},
 				{Kind: memctrl.OpNRR, Bank: bank, Row: row},
 			},
 		}
@@ -230,7 +225,7 @@ func (t *QPRAC) OnRefresh(now Tick, refIndex uint64) []memctrl.Op {
 // DRAM array; controller SRAM is only the per-bank queues (row tag plus a
 // counter wide enough for ETH per entry).
 func (t *QPRAC) StorageBits() int64 {
-	perEntry := int64(rowAddressBits + bitsFor(t.eth))
+	perEntry := int64(security.RowAddrBits + bitsFor(t.eth))
 	var bits int64
 	for i := range t.queues {
 		bits += int64(cap(t.queues[i].rows)) * perEntry

@@ -5,12 +5,19 @@ import (
 	"testing/quick"
 
 	"repro/internal/memctrl"
+	"repro/internal/security"
 	"repro/internal/sim"
 )
 
+// TestPARAProb: a PARA tracker built from the analysis' p = 20/T_RH runs
+// with 1/100 at T_RH 2000.
 func TestPARAProb(t *testing.T) {
-	if p := PARAProb(2000); p != 0.01 {
-		t.Errorf("PARAProb(2000) = %v, want 1/100", p)
+	tr, err := NewPARA(security.PARAProb(2000), ModeDRFMsb, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.p != 0.01 {
+		t.Errorf("PARA p at T_RH 2000 = %v, want 1/100", tr.p)
 	}
 }
 
@@ -64,9 +71,15 @@ func TestPARAValidation(t *testing.T) {
 	}
 }
 
+// TestMINTWindowDerivation: a MINT tracker built from the analysis'
+// W = T_RH/20 runs with a 100-activation window at T_RH 2000.
 func TestMINTWindowDerivation(t *testing.T) {
-	if w := MINTWindow(2000); w != 100 {
-		t.Errorf("MINTWindow(2000) = %d, want 100", w)
+	tr, err := NewMINT(security.MINTWindow(2000), 32, ModeDRFMsb, sim.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.w != 100 {
+		t.Errorf("MINT window at T_RH 2000 = %d, want 100", tr.w)
 	}
 }
 
@@ -141,10 +154,15 @@ func TestMINTPerBankWindows(t *testing.T) {
 	}
 }
 
+// TestGrapheneEntries: Graphene sizes its per-bank table as Table 1 does.
 func TestGrapheneEntries(t *testing.T) {
 	for _, c := range []struct{ trh, want int }{{250, 4800}, {500, 2400}, {1000, 1200}} {
-		if got := GrapheneEntries(c.trh); got != c.want {
-			t.Errorf("GrapheneEntries(%d) = %d, want %d", c.trh, got, c.want)
+		g, err := NewGraphene(GrapheneConfig{TRH: c.trh, Banks: 1, Mode: ModeNRR})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.entries != c.want {
+			t.Errorf("Graphene entries at T_RH %d = %d, want %d", c.trh, g.entries, c.want)
 		}
 	}
 }

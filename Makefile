@@ -30,11 +30,13 @@ bench-smoke:
 		-benchtime=1x -timeout 1800s .
 
 # CPU + allocation profiles of the mitigated-run hot path (a quick Figure-19
-# reproduction, which runs every tracker against every workload). Inspect with
+# reproduction, which runs every tracker against every workload). The disk
+# cache is off (-cache-dir ""), or every run after the first would replay the
+# figure from .dreamcache and profile no simulation. Inspect with
 #   go tool pprof -top cpu.prof
 #   go tool pprof -top -sample_index=alloc_objects mem.prof
 profile:
-	$(GO) run ./cmd/experiments -run fig19 -quick \
+	$(GO) run ./cmd/experiments -run fig19 -quick -cache-dir "" \
 		-cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof; see EXPERIMENTS.md for how to read them"
 

@@ -2,18 +2,21 @@ package dream
 
 // Per-subsystem microbenchmarks guarding the mitigated-run hot path: each
 // one isolates a structure the profiler shows on a mitigated figure's
-// flame graph (LLC lookups, tracker observe paths, the security auditor)
-// plus BenchmarkMitigatedRun, a single mitigated simulation over cached
-// traces — the perf canary below the figure level. Run them cold with
+// flame graph (LLC lookups, tracker observe paths, the security auditor,
+// the controller's FR-FCFS scheduler) plus BenchmarkMitigatedRun, a single
+// mitigated simulation over cached traces — the perf canary below the
+// figure level. Run them cold with
 // `go test -run '^$' -bench <name> -benchtime=1x .`; the end-to-end
 // performance record is the bench module (BENCHMARK.json), and the older
 // BENCH_<n>.json files are frozen history.
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
+	"repro/internal/dram"
 	"repro/internal/exp"
 	"repro/internal/memctrl"
 	"repro/internal/obs"
@@ -96,6 +99,100 @@ func BenchmarkAuditorObserve(b *testing.B) {
 			a.OnRefresh(uint64(i >> 13)) // periodic sweep
 		}
 	}
+}
+
+// ctrlReq is one pre-generated controller request and the tick at which it
+// is handed to the controller, ahead of its arrival.
+type ctrlReq struct {
+	at sim.Tick
+	r  memctrl.Request
+}
+
+// ctrlTraffic pre-generates the requests of eight cores, merged in dispatch
+// order. Each core dispatches its requests a lead ahead of their arrival,
+// as the system does, and the leads differ per core, so within a bank
+// enqueue order and arrival order disagree. With hot set, core 0 instead
+// hammers two alternating rows of bank 0 in bursts that queue tens of
+// requests behind that bank, as a double-sided attacker does.
+func ctrlTraffic(perCore int, hot bool) []ctrlReq {
+	rng := sim.NewRNG(0xc7a1)
+	var out []ctrlReq
+	for core := 0; core < 8; core++ {
+		lead := sim.Tick(120 + rng.Uint32()%1000)
+		arr := lead
+		for i := 0; i < perCore; i++ {
+			r := memctrl.Request{Core: core, Token: uint64(len(out))}
+			if hot && core == 0 {
+				if i%40 == 0 {
+					arr += sim.NS(3000)
+				}
+				arr += sim.Tick(rng.Uint32() % 24)
+				r.Bank, r.Row = 0, uint32(100+2*(i&1))
+			} else {
+				arr += sim.Tick(rng.Uint32() % 2400)
+				r.Bank, r.Row = int(rng.Uint32()%32), rng.Uint32()%16
+				r.IsWrite = rng.Uint32()%10 < 3
+			}
+			r.Arrival, r.Notify = arr, !r.IsWrite
+			out = append(out, ctrlReq{at: arr - lead, r: r})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].at < out[j].at })
+	return out
+}
+
+// benchController serves reqs on a fresh controller per iteration, driving
+// it like the system's event loop: each request is enqueued at its dispatch
+// tick and lowers the controller's wake to its arrival, and Process runs
+// when the wake is due, until every request has been served.
+func benchController(b *testing.B, reqs []ctrlReq) {
+	b.Helper()
+	served := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		dev, err := dram.NewSubChannel(dram.DefaultTimings(), 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := memctrl.New(memctrl.DefaultConfig(), dev, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		now, wake := sim.Tick(0), sim.Tick(0)
+		for i := 0; ; {
+			for ; i < len(reqs) && reqs[i].at <= now; i++ {
+				c.Enqueue(reqs[i].r)
+				wake = sim.MinTick(wake, reqs[i].r.Arrival)
+			}
+			if wake <= now {
+				if wake, err = c.Process(now); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if i == len(reqs) {
+				if r, w := c.QueueLens(); r+w == 0 {
+					break
+				}
+			} else {
+				wake = sim.MinTick(wake, reqs[i].at)
+			}
+			now = wake
+		}
+		served += int(c.ReadsServed + c.WritesServed)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(served), "ns/req")
+}
+
+// BenchmarkControllerProcess times the controller's FR-FCFS scheduling
+// kernel without the rest of the system: spread is eight cores over all 32
+// banks; hotbank puts a double-sided attacker's deep single-bank queue
+// beside seven of them.
+func BenchmarkControllerProcess(b *testing.B) {
+	b.Run("spread", func(b *testing.B) { benchController(b, ctrlTraffic(4000, false)) })
+	b.Run("hotbank", func(b *testing.B) { benchController(b, ctrlTraffic(4000, true)) })
 }
 
 // benchMitigated measures one full mitigated simulation per iteration. Built

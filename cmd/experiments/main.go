@@ -8,8 +8,10 @@
 //	experiments -run all              # everything (slow); journals to results/
 //	experiments -run all -resume      # skip experiments already journaled ok
 //	experiments -run all -keep-going  # run past failures, summarise at exit
-//	experiments -run fig19 -quick -cpuprofile cpu.prof -memprofile mem.prof
+//	experiments -run fig19 -quick -cache-dir "" -cpuprofile cpu.prof -memprofile mem.prof
 //	                                  # then: go tool pprof cpu.prof
+//	                                  # (-cache-dir "" so the run simulates
+//	                                  # instead of replaying the disk cache)
 //
 // Performance flags: -perfstats prints per-figure wall-clock and simulator
 // events/sec at exit (cache-served figures report zero events). Results

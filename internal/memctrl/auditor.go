@@ -1,6 +1,10 @@
 package memctrl
 
-import "repro/internal/rowtable"
+import (
+	"slices"
+
+	"repro/internal/rowtable"
+)
 
 // Auditor is the security oracle of the simulator. It watches every
 // activation (including mitigation-induced dummy activations) and every
@@ -27,12 +31,73 @@ type Auditor struct {
 	TotalVRefrs uint64
 
 	// actsBySlot/damageBySlot index the live key set by refresh slot
-	// (row mod refsPerWin), appended on insertion. A REF then deletes only
+	// (row mod refsPerWin), listed on insertion. A REF then deletes only
 	// its own slot's keys instead of predicate-scanning every tracked row —
-	// the sweep that used to dominate audited runs. Buckets may hold stale
+	// the sweep that used to dominate audited runs. A slot may list stale
 	// keys (already cleared by a mitigation); Delete is a no-op for those.
-	actsBySlot   [][]uint64
-	damageBySlot [][]uint64
+	actsBySlot   slotIndex
+	damageBySlot slotIndex
+}
+
+// slotIndex lists keys by refresh slot: one singly linked list per slot,
+// threaded through a node pool shared by all slots. A sweep returns its
+// slot's nodes to a free list, so a run reuses the same memory window after
+// window instead of growing one slice per slot. Node 0 is a sentinel, so
+// a zero head or link means "none".
+type slotIndex struct {
+	head []int32  // per slot: its first node
+	next []int32  // per node: the next node of its slot's list, or of the free list
+	keys []uint64 // per node: the listed key
+	free int32    // first free node
+}
+
+func newSlotIndex(slots uint64) slotIndex {
+	return slotIndex{
+		head: make([]int32, slots),
+		next: make([]int32, 1, 1<<10),
+		keys: make([]uint64, 1, 1<<10),
+	}
+}
+
+// add lists key k under slot.
+func (x *slotIndex) add(slot, k uint64) {
+	n := x.free
+	if n != 0 {
+		x.free = x.next[n]
+		x.keys[n] = k
+	} else {
+		if len(x.keys) == cap(x.keys) {
+			// Double the pool: append grows a large slice by about 1.25x,
+			// which would copy a pool that lives all run many times over.
+			x.keys = slices.Grow(x.keys, len(x.keys))
+			x.next = slices.Grow(x.next, len(x.next))
+		}
+		n = int32(len(x.keys))
+		x.keys = append(x.keys, k)
+		x.next = append(x.next, 0)
+	}
+	x.next[n] = x.head[slot]
+	x.head[slot] = n
+}
+
+// sweep deletes every key listed under slot from t and frees the slot's
+// nodes.
+func (x *slotIndex) sweep(slot uint64, t *rowtable.Table) {
+	first := x.head[slot]
+	if first == 0 {
+		return
+	}
+	n := first
+	for {
+		t.Delete(x.keys[n])
+		if x.next[n] == 0 {
+			break
+		}
+		n = x.next[n]
+	}
+	x.next[n] = x.free
+	x.free = first
+	x.head[slot] = 0
 }
 
 // NewAuditor builds an auditor for banks of rows rows, with refsPerWindow
@@ -45,8 +110,8 @@ func NewAuditor(rows int, refsPerWindow uint64) *Auditor {
 		damage:     rowtable.New(1 << 12),
 	}
 	if refsPerWindow > 0 {
-		a.actsBySlot = make([][]uint64, refsPerWindow)
-		a.damageBySlot = make([][]uint64, refsPerWindow)
+		a.actsBySlot = newSlotIndex(refsPerWindow)
+		a.damageBySlot = newSlotIndex(refsPerWindow)
 	}
 	return a
 }
@@ -61,9 +126,8 @@ func (a *Auditor) OnActivate(bank int, row uint32) {
 	if n > a.MaxAggr {
 		a.MaxAggr = n
 	}
-	if fresh && a.actsBySlot != nil {
-		slot := uint64(row) % a.refsPerWin
-		a.actsBySlot[slot] = append(a.actsBySlot[slot], k)
+	if fresh && a.refsPerWin > 0 {
+		a.actsBySlot.add(uint64(row)%a.refsPerWin, k)
 	}
 	for _, v := range [2]int64{int64(row) - 1, int64(row) + 1} {
 		if v < 0 || v >= int64(a.rows) {
@@ -74,9 +138,8 @@ func (a *Auditor) OnActivate(bank int, row uint32) {
 		if d > a.MaxVictim {
 			a.MaxVictim = d
 		}
-		if fresh && a.damageBySlot != nil {
-			slot := uint64(uint32(v)) % a.refsPerWin
-			a.damageBySlot[slot] = append(a.damageBySlot[slot], vk)
+		if fresh && a.refsPerWin > 0 {
+			a.damageBySlot.add(uint64(v)%a.refsPerWin, vk)
 		}
 	}
 }
@@ -110,18 +173,12 @@ func (a *Auditor) OnRefresh(refIndex uint64) {
 		return
 	}
 	slot := refIndex % a.refsPerWin
-	for _, k := range a.damageBySlot[slot] {
-		a.damage.Delete(k)
-	}
-	a.damageBySlot[slot] = a.damageBySlot[slot][:0]
+	a.damageBySlot.sweep(slot, a.damage)
 	// Refreshing row r cleans r as a victim; as an aggressor its count
 	// matters to neighbours, which are refreshed in adjacent slots. We
 	// conservatively reset an aggressor only when both its neighbours
 	// have been refreshed, approximated by its own slot passing.
-	for _, k := range a.actsBySlot[slot] {
-		a.acts.Delete(k)
-	}
-	a.actsBySlot[slot] = a.actsBySlot[slot][:0]
+	a.actsBySlot.sweep(slot, a.acts)
 }
 
 // Rows tracked (for tests).

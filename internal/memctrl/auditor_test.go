@@ -3,6 +3,8 @@ package memctrl
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
 func TestAuditorAggressorCount(t *testing.T) {
@@ -81,5 +83,35 @@ func TestAuditorDamageBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAuditorAllocsPerRun: a fresh auditor allocates a small, fixed number
+// of times per run however many windows the run sweeps — the refresh-slot
+// index reuses its nodes across sweeps instead of growing a slice per slot.
+// What remains is the tables' and node pools' doubling as the live key set
+// grows (about 60 allocations here; tens of thousands with a slice per
+// slot).
+func TestAuditorAllocsPerRun(t *testing.T) {
+	rng := sim.NewRNG(0xa110c)
+	rows := make([]uint32, 1<<14)
+	for i := range rows {
+		rows[i] = rng.Uint32() % (1 << 14)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		a := NewAuditor(1<<17, 8192)
+		for i := 0; i < 1<<17; i++ {
+			row := rows[i&(len(rows)-1)]
+			a.OnActivate(i&31, row)
+			if i&63 == 63 {
+				a.OnMitigate(i&31, row)
+			}
+			if i&7 == 7 {
+				a.OnRefresh(uint64(i >> 3)) // two full windows
+			}
+		}
+	})
+	if allocs > 100 {
+		t.Errorf("%.0f allocations per run, want at most 100", allocs)
 	}
 }

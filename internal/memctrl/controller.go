@@ -120,6 +120,9 @@ func New(cfg Config, dev *dram.SubChannel, mit Mitigator,
 	if cfg.MOPCap <= 0 {
 		return nil, fmt.Errorf("memctrl: invalid config %+v", cfg)
 	}
+	if n := dev.NumBanks(); n > maxBanks {
+		return nil, fmt.Errorf("memctrl: %d banks exceed the scheduler's limit of %d", n, maxBanks)
+	}
 	if mit == nil {
 		mit = None{}
 	}

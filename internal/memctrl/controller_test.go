@@ -73,6 +73,16 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad, dev, nil, nil); err == nil {
 		t.Error("MOPCap=0 should fail")
 	}
+	// The banked scheduler keeps one bit per bank in a uint64.
+	for banks, ok := range map[int]bool{64: true, 68: false} {
+		dev, err := dram.NewSubChannel(dram.DefaultTimings(), banks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(DefaultConfig(), dev, nil, nil); (err == nil) != ok {
+			t.Errorf("%d banks: New error %v, want ok=%v", banks, err, ok)
+		}
+	}
 }
 
 func TestServiceSimpleRead(t *testing.T) {

@@ -1,6 +1,8 @@
 package memctrl
 
 import (
+	"math/bits"
+
 	"repro/internal/dram"
 	"repro/internal/sim"
 )
@@ -9,10 +11,12 @@ import (
 type SchedKind int
 
 const (
-	// SchedBanked is the default: per-bank FIFO queues with lazily
-	// maintained per-bank earliest-start aggregates. pick touches only
-	// banks that can start a request now, removal is a small in-bank
-	// shift, and NextWake is O(banks) instead of a full-queue rescan.
+	// SchedBanked is the default: per-bank FIFOs kept in enqueue order,
+	// with per-bank earliest-start aggregates that a command to a bank
+	// invalidates for that bank alone. A probe recomputes only the banks
+	// whose state changed, scans stop at the first request that can start
+	// at its class's earliest time, and NextWake folds one value per bank
+	// instead of rescanning the queue.
 	SchedBanked SchedKind = iota
 	// SchedFlat is the original flat-slice reference implementation,
 	// retained for the scheduler-equivalence tests: both kinds must
@@ -133,47 +137,44 @@ func (s *flatSched) dirtyAll()     {}
 
 // --- banked implementation ---------------------------------------------------
 
-// bankQ is one bank's FIFO plus its cached earliest-start aggregate.
-//
-// The aggregate splits by row-buffer outcome against the bank's current
-// state: hitLocal is the minimum of max(arrival, bank-local column
-// readiness) over requests targeting the open row, and miss is the minimum
-// of max(arrival, precharge/activate readiness) over the rest. hitLocal
-// excludes the shared data bus deliberately — the bus horizon moves on
-// every column access anywhere in the sub-channel, so it is applied as
-// max(hitLocal, busReady) at query time, which keeps the aggregate valid
-// until a bank-local event (command to this bank, queue change) dirties it.
-// Because max-with-a-constant distributes over min, the bank-level bound
-// min(miss, max(hitLocal, busReady)) equals the exact minimum service-start
-// over the bank's requests, so aggregate comparisons never mis-skip a bank.
-type bankQ struct {
-	reqs     []Request
-	dirty    bool
-	hitLocal Tick
-	miss     Tick
-}
+// maxBanks bounds the banks one banked scheduler serves: its active and
+// dirty sets are one bit per bank of a uint64.
+const maxBanks = 64
 
 // bankedQueue is one direction (reads or writes) of the banked scheduler.
-// It keeps a ready set — the list of banks with non-empty FIFOs — so pick
-// and minStart walk only banks that actually hold work instead of all 32,
-// plus a direction-level aggregate (the min of the per-bank aggregates) so
-// repeated NextWake/pick probes with no intervening queue or bank change
-// are O(1).
+// Its invariants, each exact rather than heuristic:
+//
+//   - reqs[b] is bank b's FIFO in enqueue (seq) order. pick removes with an
+//     order-preserving shift, so the first request of a FIFO that
+//     qualifies is always the bank's oldest qualifying one.
+//   - For a clean bank (bit b of dirty clear), hitLocal[b] is the minimum of
+//     max(arrival, EarliestColumnLocal) over requests to the open row, and
+//     miss[b] the minimum of max(arrival, miss horizon) over the rest, where
+//     the miss horizon is EarliestPrecharge with a row open and
+//     EarliestActivate without. hitLocal leaves out the shared data bus,
+//     whose horizon moves on every column access in the sub-channel: it is
+//     applied as max(hitLocal, busReady) at query time, and since max with
+//     a constant distributes over min, that is the bank's exact earliest
+//     hit start. A request that arrived by its class's horizon starts at
+//     the horizon, the least any request of the class can, so a scan of the
+//     FIFO may stop at the first such request of each class.
+//   - active has bit b set iff reqs[b] is non-empty. dirty has bit b set
+//     when a command moved bank b's horizons or a request left its FIFO;
+//     only those banks are recomputed, and an idle bank's bit is dropped
+//     when it next receives work (its aggregate is then the newcomer's).
+//   - While aggOK is set, no active bank is dirty and aggHit/aggMiss are
+//     the minima of hitLocal/miss over the active banks, so the earliest
+//     start over the whole direction is min(aggMiss, max(aggHit, busReady)).
 type bankedQueue struct {
-	banks []bankQ
-	// active lists banks with len(reqs) > 0; pos[b] is b's index in active
-	// or -1. Maintained by swap-remove, so order is arbitrary — safe because
-	// pick's (hit, start, seq) comparison is a strict total order and the
-	// aggregates are order-independent min-folds.
-	active []int
-	pos    []int
-	size   int
-	// aggOK caches the direction-level minima over active banks: aggHit is
-	// min hitLocal (bank-local, bus applied at query time), aggMiss is min
-	// miss. Invalidated whenever any bank's queue or timing state changes.
-	aggOK   bool
-	aggHit  Tick
-	aggMiss Tick
+	reqs     [][]Request
+	hitLocal []Tick
+	miss     []Tick
+	active   uint64
+	dirty    uint64
+	size     int
+	aggOK    bool
+	aggHit   Tick
+	aggMiss  Tick
 }
 
 type bankedSched struct {
@@ -185,113 +186,102 @@ type bankedSched struct {
 func newBankedSched(c *Controller, banks int) *bankedSched {
 	s := &bankedSched{c: c}
 	for _, q := range []*bankedQueue{&s.reads, &s.writes} {
-		q.banks = make([]bankQ, banks)
-		q.active = make([]int, 0, banks)
-		q.pos = make([]int, banks)
-		for b := range q.banks {
-			// Pre-size each FIFO: queues churn constantly but stay shallow, so
-			// a small initial capacity absorbs nearly all append growth.
-			q.banks[b] = bankQ{reqs: make([]Request, 0, 16), hitLocal: sim.Forever, miss: sim.Forever}
-			q.pos[b] = -1
+		q.reqs = make([][]Request, banks)
+		q.hitLocal = make([]Tick, banks)
+		q.miss = make([]Tick, banks)
+		for b := range q.reqs {
+			// Pre-size each FIFO: most stay shallow, so a small initial
+			// capacity absorbs nearly all append growth.
+			q.reqs[b] = make([]Request, 0, 16)
 		}
 	}
 	return s
 }
 
-func (s *bankedSched) enqueue(r Request) {
-	q := &s.reads
-	if r.IsWrite {
-		q = &s.writes
+func (s *bankedSched) queue(writes bool) *bankedQueue {
+	if writes {
+		return &s.writes
 	}
-	bq := &q.banks[r.Bank]
-	if len(bq.reqs) == 0 {
-		q.pos[r.Bank] = len(q.active)
-		q.active = append(q.active, r.Bank)
-	}
-	bq.reqs = append(bq.reqs, r)
-	q.size++
-	if bq.dirty {
-		// Stale bank aggregate: the next refold must recompute it.
-		q.aggOK = false
-		return
-	}
-	// Fold the newcomer into the clean bank aggregate in O(1) — and into the
-	// direction-level aggregate too: enqueue only adds work, so the direction
-	// min folds the same value instead of invalidating (which would put an
-	// O(active banks) refold on every enqueue→NextWake probe).
+	return &s.reads
+}
+
+// horizons reports bank b's open row and the earliest bank-local starts of
+// a hit (column readiness) and of a miss (precharge readiness with a row
+// open, activate readiness without). With no row open nothing hits.
+func (s *bankedSched) horizons(b int) (open int64, hit, miss Tick) {
 	dev := s.c.dev
-	open := dev.OpenRow(r.Bank)
-	if open != dram.NoRow && open == int64(r.Row) {
-		v := sim.MaxTick(r.Arrival, dev.EarliestColumnLocal(r.Bank))
-		if v < bq.hitLocal {
-			bq.hitLocal = v
-		}
-		if q.aggOK && v < q.aggHit {
-			q.aggHit = v
-		}
+	open = dev.OpenRow(b)
+	if open == dram.NoRow {
+		return open, sim.Forever, dev.EarliestActivate(b)
+	}
+	return open, dev.EarliestColumnLocal(b), dev.EarliestPrecharge(b)
+}
+
+func (s *bankedSched) enqueue(r Request) {
+	q := s.queue(r.IsWrite)
+	b := r.Bank
+	bit := uint64(1) << b
+	if q.active&bit == 0 {
+		q.active |= bit
+		q.dirty &^= bit
+		q.hitLocal[b], q.miss[b] = sim.Forever, sim.Forever
+	}
+	q.reqs[b] = append(q.reqs[b], r)
+	q.size++
+	if q.dirty&bit != 0 {
+		return // aggOK is already clear; the next refold recomputes b
+	}
+	// Enqueue only adds work, so the newcomer folds into the clean bank
+	// aggregate and the direction aggregate in O(1) instead of
+	// invalidating them (a stale direction aggregate is refolded anyway).
+	open, hh, mh := s.horizons(b)
+	if int64(r.Row) == open {
+		v := sim.MaxTick(r.Arrival, hh)
+		q.hitLocal[b] = sim.MinTick(q.hitLocal[b], v)
+		q.aggHit = sim.MinTick(q.aggHit, v)
 	} else {
-		ready := dev.EarliestActivate(r.Bank)
-		if open != dram.NoRow {
-			ready = dev.EarliestPrecharge(r.Bank)
-		}
-		v := sim.MaxTick(r.Arrival, ready)
-		if v < bq.miss {
-			bq.miss = v
-		}
-		if q.aggOK && v < q.aggMiss {
-			q.aggMiss = v
-		}
+		v := sim.MaxTick(r.Arrival, mh)
+		q.miss[b] = sim.MinTick(q.miss[b], v)
+		q.aggMiss = sim.MinTick(q.aggMiss, v)
 	}
 }
 
 func (s *bankedSched) lens() (int, int) { return s.reads.size, s.writes.size }
 
-// recompute rebuilds bank b's aggregate from its queue and current state.
+// recompute rebuilds bank b's aggregate, scanning its FIFO only until a hit
+// and a miss at their horizons have been seen.
 func (s *bankedSched) recompute(q *bankedQueue, b int) {
-	bq := &q.banks[b]
-	bq.dirty = false
-	bq.hitLocal, bq.miss = sim.Forever, sim.Forever
-	if len(bq.reqs) == 0 {
-		return
-	}
-	dev := s.c.dev
-	open := dev.OpenRow(b)
-	colLocal := dev.EarliestColumnLocal(b)
-	ready := dev.EarliestActivate(b)
-	if open != dram.NoRow {
-		ready = dev.EarliestPrecharge(b)
-	}
-	for i := range bq.reqs {
-		r := &bq.reqs[i]
-		if open != dram.NoRow && open == int64(r.Row) {
-			if v := sim.MaxTick(r.Arrival, colLocal); v < bq.hitLocal {
-				bq.hitLocal = v
-			}
-		} else if v := sim.MaxTick(r.Arrival, ready); v < bq.miss {
-			bq.miss = v
+	open, hh, mh := s.horizons(b)
+	hit, miss := sim.Forever, sim.Forever
+	for i := range q.reqs[b] {
+		r := &q.reqs[b][i]
+		if int64(r.Row) == open {
+			hit = sim.MinTick(hit, sim.MaxTick(r.Arrival, hh))
+		} else {
+			miss = sim.MinTick(miss, sim.MaxTick(r.Arrival, mh))
+		}
+		if hit == hh && miss == mh {
+			break
 		}
 	}
+	q.hitLocal[b], q.miss[b] = hit, miss
 }
 
-// refreshAgg brings the direction-level aggregate up to date, recomputing
-// any dirty active banks along the way. O(1) when nothing changed since the
-// last call; O(ready banks) otherwise.
-func (s *bankedSched) refreshAgg(q *bankedQueue) {
+// refold brings the direction aggregate up to date: it recomputes the dirty
+// banks that hold work, then folds the per-bank aggregates.
+func (s *bankedSched) refold(q *bankedQueue) {
 	if q.aggOK {
 		return
 	}
+	for m := q.dirty & q.active; m != 0; m &= m - 1 {
+		s.recompute(q, bits.TrailingZeros64(m))
+	}
+	q.dirty &^= q.active
 	q.aggHit, q.aggMiss = sim.Forever, sim.Forever
-	for _, b := range q.active {
-		bq := &q.banks[b]
-		if bq.dirty {
-			s.recompute(q, b)
-		}
-		if bq.hitLocal < q.aggHit {
-			q.aggHit = bq.hitLocal
-		}
-		if bq.miss < q.aggMiss {
-			q.aggMiss = bq.miss
-		}
+	for m := q.active; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		q.aggHit = sim.MinTick(q.aggHit, q.hitLocal[b])
+		q.aggMiss = sim.MinTick(q.aggMiss, q.miss[b])
 	}
 	q.aggOK = true
 }
@@ -303,171 +293,95 @@ func (s *bankedSched) busReady() Tick {
 }
 
 func (s *bankedSched) pick(now Tick, fromWrite bool) (Request, Tick, bool) {
-	q := &s.reads
-	if fromWrite {
-		q = &s.writes
-	}
+	q := s.queue(fromWrite)
 	if q.size == 0 {
 		return Request{}, 0, false
 	}
-	g := s.busReady()
-	// When the direction aggregate is fresh it bounds the exact earliest
-	// start (min over banks of min(miss, max(hitLocal, busReady)) folds to
-	// min(aggMiss, max(aggHit, busReady)) since busReady is bank-invariant),
-	// so a bound beyond now means no request is startable and the whole
-	// active-bank walk can be skipped with an identical result.
-	if q.aggOK {
-		bound := q.aggMiss
-		if q.aggHit != sim.Forever {
-			if hs := sim.MaxTick(q.aggHit, g); hs < bound {
-				bound = hs
-			}
-		}
-		if bound > now {
+	s.refold(q)
+	// FR-FCFS takes any startable hit over every miss, so the class is
+	// settled by the aggregates alone, and so is the start time: the
+	// class's earliest start over all banks.
+	hit := true
+	start := sim.MaxTick(q.aggHit, s.busReady())
+	if start > now {
+		hit, start = false, q.aggMiss
+		if start > now {
 			return Request{}, 0, false
 		}
 	}
-	// The candidate scan below walks every active bank anyway, so instead of
-	// a separate refreshAgg traversal the stale direction aggregate is
-	// refolded inline as the scan goes.
-	refold := !q.aggOK
-	if refold {
-		q.aggHit, q.aggMiss = sim.Forever, sim.Forever
-	}
+	// The winner is the oldest request of that class able to start at
+	// start. Only banks whose own class minimum is start hold one; in such
+	// a bank every request of the class that arrived by start starts
+	// exactly then, and the first in its FIFO is the bank's oldest.
 	dev := s.c.dev
 	bestBank, bestIdx := -1, -1
-	bestStart := sim.Forever
-	bestHit := false
 	var bestSeq uint64
-	for _, b := range q.active {
-		bq := &q.banks[b]
-		if refold {
-			if bq.dirty {
-				s.recompute(q, b)
-			}
-			if bq.hitLocal < q.aggHit {
-				q.aggHit = bq.hitLocal
-			}
-			if bq.miss < q.aggMiss {
-				q.aggMiss = bq.miss
-			}
-		}
-		// Every active bank is clean here. Skip banks that cannot start
-		// anything at now; their aggregate alone bounds them out.
-		bankMin := bq.miss
-		if bq.hitLocal != sim.Forever {
-			if hs := sim.MaxTick(bq.hitLocal, g); hs < bankMin {
-				bankMin = hs
-			}
-		}
-		if bankMin > now {
+	for m := q.active; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		if (hit && q.hitLocal[b] > start) || (!hit && q.miss[b] != start) {
 			continue
 		}
 		open := dev.OpenRow(b)
-		colC := sim.MaxTick(dev.EarliestColumnLocal(b), g)
-		ready := dev.EarliestActivate(b)
-		if open != dram.NoRow {
-			ready = dev.EarliestPrecharge(b)
-		}
-		for i := range bq.reqs {
-			r := &bq.reqs[i]
-			hit := open != dram.NoRow && open == int64(r.Row)
-			var st Tick
-			if hit {
-				st = sim.MaxTick(r.Arrival, colC)
-			} else {
-				st = sim.MaxTick(r.Arrival, ready)
-			}
-			if st > now {
-				continue
-			}
-			better := false
-			switch {
-			case bestIdx < 0:
-				better = true
-			case hit != bestHit:
-				better = hit
-			case st != bestStart:
-				better = st < bestStart
-			default:
-				better = r.seq < bestSeq
-			}
-			if better {
-				bestBank, bestIdx = b, i
-				bestStart, bestHit, bestSeq = st, hit, r.seq
+		for i := range q.reqs[b] {
+			r := &q.reqs[b][i]
+			if (int64(r.Row) == open) == hit && r.Arrival <= start {
+				if bestIdx < 0 || r.seq < bestSeq {
+					bestBank, bestIdx, bestSeq = b, i, r.seq
+				}
+				break
 			}
 		}
 	}
-	if refold {
-		q.aggOK = true
-	}
-	if bestIdx < 0 {
-		return Request{}, 0, false
-	}
-	bq := &q.banks[bestBank]
-	r := bq.reqs[bestIdx]
-	// Swap-remove: in-bank order is irrelevant (seq breaks all ties).
-	last := len(bq.reqs) - 1
-	bq.reqs[bestIdx] = bq.reqs[last]
-	bq.reqs = bq.reqs[:last]
-	bq.dirty = true // the removed request may have defined the aggregate
-	if last == 0 {
-		q.deactivate(bestBank)
+	fifo := q.reqs[bestBank]
+	r := fifo[bestIdx]
+	copy(fifo[bestIdx:], fifo[bestIdx+1:])
+	q.reqs[bestBank] = fifo[:len(fifo)-1]
+	bit := uint64(1) << bestBank
+	q.dirty |= bit // the removed request may have defined the aggregate
+	if len(fifo) == 1 {
+		q.active &^= bit
 	}
 	q.size--
 	q.aggOK = false
-	return r, bestStart, true
-}
-
-// deactivate drops bank b from the ready set (its FIFO just emptied).
-func (q *bankedQueue) deactivate(b int) {
-	i := q.pos[b]
-	lastIdx := len(q.active) - 1
-	moved := q.active[lastIdx]
-	q.active[i] = moved
-	q.pos[moved] = i
-	q.active = q.active[:lastIdx]
-	q.pos[b] = -1
+	return r, start, true
 }
 
 func (s *bankedSched) minStart(mode minQuery) Tick {
 	w := sim.Forever
-	g := s.busReady()
-	scan := func(q *bankedQueue) {
-		if q.size == 0 {
-			return
-		}
-		s.refreshAgg(q)
-		if q.aggMiss < w {
-			w = q.aggMiss
-		}
-		if q.aggHit != sim.Forever {
-			if hs := sim.MaxTick(q.aggHit, g); hs < w {
-				w = hs
-			}
-		}
-	}
 	if mode != minWrites {
-		scan(&s.reads)
+		w = s.earliest(&s.reads)
 	}
 	if mode != minReads {
-		scan(&s.writes)
+		w = sim.MinTick(w, s.earliest(&s.writes))
 	}
 	return w
 }
 
+// earliest reports the earliest service start over q's requests, or
+// sim.Forever when q is empty.
+func (s *bankedSched) earliest(q *bankedQueue) Tick {
+	if q.size == 0 {
+		return sim.Forever
+	}
+	s.refold(q)
+	return sim.MinTick(q.aggMiss, sim.MaxTick(q.aggHit, s.busReady()))
+}
+
+// invalidate marks the banks in mask dirty; the direction aggregate goes
+// stale only if one of them holds work.
+func (q *bankedQueue) invalidate(mask uint64) {
+	q.dirty |= mask
+	if q.active&mask != 0 {
+		q.aggOK = false
+	}
+}
+
 func (s *bankedSched) dirtyBank(b int) {
-	s.reads.banks[b].dirty = true
-	s.writes.banks[b].dirty = true
-	s.reads.aggOK = false
-	s.writes.aggOK = false
+	s.reads.invalidate(1 << b)
+	s.writes.invalidate(1 << b)
 }
 
 func (s *bankedSched) dirtyAll() {
-	for b := range s.reads.banks {
-		s.reads.banks[b].dirty = true
-		s.writes.banks[b].dirty = true
-	}
-	s.reads.aggOK = false
-	s.writes.aggOK = false
+	s.reads.invalidate(^uint64(0))
+	s.writes.invalidate(^uint64(0))
 }

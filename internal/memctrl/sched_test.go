@@ -1,7 +1,9 @@
 package memctrl
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/dram"
@@ -64,11 +66,20 @@ type schedTrace struct {
 	schedStats
 }
 
-// driveSched feeds reqs (sorted by arrival) into a fresh controller of the
-// given scheduler kind and returns the full observable trace. The loop
-// mirrors the system event loop: requests enqueue when their arrival is
-// reached, and time advances to min(NextWake, next arrival).
-func driveSched(t *testing.T, kind SchedKind, mit Mitigator, reqs []Request, horizon Tick) schedTrace {
+// dispatched is a request together with the tick at which the system hands
+// it to the controller; Arrival is never earlier than that tick.
+type dispatched struct {
+	at Tick
+	r  Request
+}
+
+// driveSched feeds reqs (sorted by dispatch tick) into a fresh controller of
+// the given scheduler kind the way the system does: each request is enqueued
+// at its dispatch tick and lowers the controller's wake to its arrival, and
+// the controller runs only when its wake is due. Tokens must be the
+// requests' indexes in reqs. It returns the full observable trace and the
+// deepest any one bank's queue of demand reads grew.
+func driveSched(t testing.TB, kind SchedKind, mit Mitigator, reqs []dispatched, horizon Tick) (schedTrace, int) {
 	t.Helper()
 	dev, err := dram.NewSubChannel(dram.DefaultTimings(), 32)
 	if err != nil {
@@ -77,28 +88,41 @@ func driveSched(t *testing.T, kind SchedKind, mit Mitigator, reqs []Request, hor
 	cfg := DefaultConfig()
 	cfg.Scheduler = kind
 	var tr schedTrace
+	depth := make([]int, 32)
+	maxDepth := 0
 	c, err := New(cfg, dev, mit, func(core int, token uint64, done Tick) {
 		tr.dones = append(tr.dones, done)
+		depth[reqs[token].r.Bank]--
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := Tick(0)
+	now, wake := Tick(0), Tick(0)
 	i := 0
 	for now < horizon {
-		for i < len(reqs) && reqs[i].Arrival <= now {
-			c.Enqueue(reqs[i])
+		for i < len(reqs) && reqs[i].at <= now {
+			r := reqs[i].r
+			c.Enqueue(r)
+			if r.Notify {
+				if depth[r.Bank]++; depth[r.Bank] > maxDepth {
+					maxDepth = depth[r.Bank]
+				}
+			}
+			if r.Arrival < wake {
+				wake = r.Arrival
+			}
 			i++
 		}
-		next, err := c.Process(now)
-		if err != nil {
-			t.Fatal(err)
+		if wake <= now {
+			if wake, err = c.Process(now); err != nil {
+				t.Fatal(err)
+			}
+			tr.wakes = append(tr.wakes, wake)
 		}
-		if i < len(reqs) && reqs[i].Arrival < next {
-			next = reqs[i].Arrival
+		now = wake
+		if i < len(reqs) && reqs[i].at < now {
+			now = reqs[i].at
 		}
-		tr.wakes = append(tr.wakes, next)
-		now = next
 	}
 	tr.acts, tr.hits = c.Activations, c.RowHits
 	tr.reads, tr.wris = c.ReadsServed, c.WritesServed
@@ -106,7 +130,43 @@ func driveSched(t *testing.T, kind SchedKind, mit Mitigator, reqs []Request, hor
 	tr.refs = c.Device().Refreshes
 	tr.mits = c.Device().MitigationCount
 	tr.qr, tr.qw = c.QueueLens()
-	return tr
+	return tr, maxDepth
+}
+
+// atArrival dispatches each request at its own arrival, so within a bank
+// arrival order is enqueue order, which the system does not guarantee;
+// it is the plain case.
+func atArrival(reqs []Request) []dispatched {
+	out := make([]dispatched, len(reqs))
+	for i, r := range reqs {
+		out[i] = dispatched{at: r.Arrival, r: r}
+	}
+	return out
+}
+
+// compareTraces requires two runs' observables to match exactly: every wake
+// time, every completion time and every service counter.
+func compareTraces(t testing.TB, label string, flat, bank schedTrace) {
+	t.Helper()
+	if len(flat.wakes) != len(bank.wakes) {
+		t.Fatalf("%s: wake count flat=%d banked=%d", label, len(flat.wakes), len(bank.wakes))
+	}
+	for i := range flat.wakes {
+		if flat.wakes[i] != bank.wakes[i] {
+			t.Fatalf("%s: wake[%d] flat=%v banked=%v", label, i, flat.wakes[i], bank.wakes[i])
+		}
+	}
+	if len(flat.dones) != len(bank.dones) {
+		t.Fatalf("%s: completions flat=%d banked=%d", label, len(flat.dones), len(bank.dones))
+	}
+	for i := range flat.dones {
+		if flat.dones[i] != bank.dones[i] {
+			t.Fatalf("%s: done[%d] flat=%v banked=%v", label, i, flat.dones[i], bank.dones[i])
+		}
+	}
+	if flat.schedStats != bank.schedStats {
+		t.Errorf("%s: stats diverge\nflat   %+v\nbanked %+v", label, flat.schedStats, bank.schedStats)
+	}
 }
 
 func randomReqs(seed int64, n int, horizon Tick) []Request {
@@ -138,28 +198,10 @@ func TestSchedulerEquivalence(t *testing.T) {
 	horizon := 4 * dram.DefaultTimings().TREFI
 	for _, seed := range []int64{1, 2, 3, 0x5eed, 0xbeef} {
 		reqs := randomReqs(seed, 4000, horizon)
-		flat := driveSched(t, SchedFlat, &stressMit{}, reqs, horizon)
-		bank := driveSched(t, SchedBanked, &stressMit{}, reqs, horizon)
+		flat, _ := driveSched(t, SchedFlat, &stressMit{}, atArrival(reqs), horizon)
+		bank, _ := driveSched(t, SchedBanked, &stressMit{}, atArrival(reqs), horizon)
 
-		if len(flat.wakes) != len(bank.wakes) {
-			t.Fatalf("seed %d: wake count flat=%d banked=%d", seed, len(flat.wakes), len(bank.wakes))
-		}
-		for i := range flat.wakes {
-			if flat.wakes[i] != bank.wakes[i] {
-				t.Fatalf("seed %d: wake[%d] flat=%v banked=%v", seed, i, flat.wakes[i], bank.wakes[i])
-			}
-		}
-		if len(flat.dones) != len(bank.dones) {
-			t.Fatalf("seed %d: completions flat=%d banked=%d", seed, len(flat.dones), len(bank.dones))
-		}
-		for i := range flat.dones {
-			if flat.dones[i] != bank.dones[i] {
-				t.Fatalf("seed %d: done[%d] flat=%v banked=%v", seed, i, flat.dones[i], bank.dones[i])
-			}
-		}
-		if flat.schedStats != bank.schedStats {
-			t.Errorf("seed %d: stats diverge\nflat   %+v\nbanked %+v", seed, flat.schedStats, bank.schedStats)
-		}
+		compareTraces(t, fmt.Sprintf("seed %d", seed), flat, bank)
 		if flat.reads == 0 || flat.wris == 0 || flat.mits == 0 || flat.refs == 0 {
 			t.Errorf("seed %d: degenerate run %+v", seed, flat)
 		}
@@ -186,18 +228,182 @@ func TestSchedulerEquivalencePlain(t *testing.T) {
 				Notify:  !w,
 			})
 		}
-		flat := driveSched(t, SchedFlat, nil, reqs, horizon)
-		bank := driveSched(t, SchedBanked, nil, reqs, horizon)
-		if len(flat.dones) != len(bank.dones) {
-			t.Fatalf("seed %d: completions flat=%d banked=%d", seed, len(flat.dones), len(bank.dones))
-		}
-		for i := range flat.dones {
-			if flat.dones[i] != bank.dones[i] {
-				t.Fatalf("seed %d: done[%d] flat=%v banked=%v", seed, i, flat.dones[i], bank.dones[i])
-			}
-		}
-		if flat.schedStats != bank.schedStats {
-			t.Errorf("seed %d: stats diverge\nflat   %+v\nbanked %+v", seed, flat.schedStats, bank.schedStats)
-		}
+		flat, _ := driveSched(t, SchedFlat, nil, atArrival(reqs), horizon)
+		bank, _ := driveSched(t, SchedBanked, nil, atArrival(reqs), horizon)
+		compareTraces(t, fmt.Sprintf("seed %d", seed), flat, bank)
 	}
+}
+
+// streamParams shapes one core's request stream.
+type streamParams struct {
+	n        int  // requests
+	gap      int  // maximum ticks between arrivals (uniform in [0, gap))
+	lead     Tick // ticks each request is dispatched ahead of its arrival
+	banks    int  // banks drawn from, uniformly
+	rows     int  // rows drawn from, uniformly
+	writePct int  // share of writes, in percent
+}
+
+// coreStream generates one core's requests: arrivals monotone, each request
+// dispatched p.lead ticks ahead of its arrival.
+func coreStream(rng *rand.Rand, core int, p streamParams) []dispatched {
+	out := make([]dispatched, 0, p.n)
+	arr := p.lead
+	for i := 0; i < p.n; i++ {
+		arr += Tick(rng.Intn(p.gap))
+		w := rng.Intn(100) < p.writePct
+		out = append(out, dispatched{at: arr - p.lead, r: Request{
+			Arrival: arr,
+			Bank:    rng.Intn(p.banks),
+			Row:     uint32(rng.Intn(p.rows)),
+			IsWrite: w,
+			Core:    core,
+			Notify:  !w,
+		}})
+	}
+	return out
+}
+
+// interleave merges per-core streams into one dispatch-ordered stream (ties
+// broken by core), numbers the tokens, and returns it with a horizon long
+// enough for every request to be served even if all of them miss in one
+// bank: two row cycles per request plus two refresh intervals.
+func interleave(streams ...[]dispatched) ([]dispatched, Tick) {
+	var all []dispatched
+	for _, s := range streams {
+		all = append(all, s...)
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		if all[i].at != all[j].at {
+			return all[i].at < all[j].at
+		}
+		return all[i].r.Core < all[j].r.Core
+	})
+	last := Tick(0)
+	for i := range all {
+		all[i].r.Token = uint64(i)
+		last = sim.MaxTick(last, all[i].r.Arrival)
+	}
+	ti := dram.DefaultTimings()
+	return all, last + Tick(len(all))*2*ti.TRC + 2*ti.TREFI
+}
+
+// spreadTraffic is the system's ordinary shape: eight cores, each with its
+// own lead, interleaved, so within a bank arrival order and enqueue order
+// disagree.
+func spreadTraffic(seed int64, n, banks, rows int, lead Tick, writePct int) ([]dispatched, Tick) {
+	rng := rand.New(rand.NewSource(seed))
+	streams := make([][]dispatched, 8)
+	for core := range streams {
+		streams[core] = coreStream(rng, core, streamParams{
+			n: n / 8, gap: 8 * 48, lead: 120 + Tick(rng.Int63n(int64(lead)+1)),
+			banks: banks, rows: rows, writePct: writePct,
+		})
+	}
+	return interleave(streams...)
+}
+
+// hotBankTraffic is the attack shape: core 0 hammers two alternating rows of
+// bank 0 in bursts deep enough to queue 30+ reads behind one bank, while
+// three background cores with their own leads spread reads and writes over
+// the hot bank and seven others.
+func hotBankTraffic(seed int64) ([]dispatched, Tick) {
+	rng := rand.New(rand.NewSource(seed))
+	const bursts, burst = 12, 40
+	attack := make([]dispatched, 0, bursts*burst)
+	arr := Tick(120)
+	for i := 0; i < bursts*burst; i++ {
+		if i%burst == 0 {
+			arr += sim.NS(2500)
+		}
+		arr += Tick(rng.Intn(24))
+		attack = append(attack, dispatched{at: arr - 120, r: Request{
+			Arrival: arr, Bank: 0, Row: uint32(100 + 2*(i&1)), Notify: true,
+		}})
+	}
+	streams := [][]dispatched{attack}
+	for core := 1; core <= 3; core++ {
+		streams = append(streams, coreStream(rng, core, streamParams{
+			n: 500, gap: 1200, lead: 120 + Tick(rng.Intn(900)),
+			banks: 8, rows: 8, writePct: 30,
+		}))
+	}
+	return interleave(streams...)
+}
+
+// checkDispatched runs reqs through both schedulers, with the stress
+// mitigator and without one, and requires identical observables.
+func checkDispatched(t testing.TB, label string, reqs []dispatched, horizon Tick) (depth int) {
+	t.Helper()
+	for _, withMit := range []bool{true, false} {
+		var fm, bm Mitigator
+		if withMit {
+			fm, bm = &stressMit{}, &stressMit{}
+		}
+		flat, d := driveSched(t, SchedFlat, fm, reqs, horizon)
+		bank, _ := driveSched(t, SchedBanked, bm, reqs, horizon)
+		compareTraces(t, fmt.Sprintf("%s (mitigator %v)", label, withMit), flat, bank)
+		if flat.qr != 0 || flat.qw != 0 {
+			t.Fatalf("%s: %d reads and %d writes still queued at the horizon", label, flat.qr, flat.qw)
+		}
+		depth = d
+	}
+	return depth
+}
+
+// outOfOrder counts requests that arrive before an older queued request of
+// the same bank would — the case that separates enqueue order from arrival
+// order, which the system produces and atArrival cannot.
+func outOfOrder(reqs []dispatched) int {
+	latest := map[int]Tick{}
+	n := 0
+	for _, d := range reqs {
+		if d.r.Arrival < latest[d.r.Bank] {
+			n++
+		}
+		latest[d.r.Bank] = sim.MaxTick(latest[d.r.Bank], d.r.Arrival)
+	}
+	return n
+}
+
+// TestSchedulerEquivalenceDispatched drives both schedulers with the traffic
+// the system sends: requests enqueued ahead of their arrival by per-core
+// leads and interleaved across cores, and a hot-bank attack stream whose
+// bank queue runs 30+ deep.
+func TestSchedulerEquivalenceDispatched(t *testing.T) {
+	for _, seed := range []int64{1, 2, 0x5eed} {
+		reqs, horizon := spreadTraffic(seed, 4000, 32, 16, 2000, 30)
+		n := outOfOrder(reqs)
+		if n == 0 {
+			t.Fatalf("spread seed %d: no request arrives ahead of an older one in its bank", seed)
+		}
+		depth := checkDispatched(t, fmt.Sprintf("spread seed %d", seed), reqs, horizon)
+		t.Logf("spread seed %d: %d of %d requests out of order, deepest bank %d reads", seed, n, len(reqs), depth)
+	}
+	for _, seed := range []int64{3, 0xbeef} {
+		reqs, horizon := hotBankTraffic(seed)
+		n := outOfOrder(reqs)
+		if n == 0 {
+			t.Fatalf("hot-bank seed %d: no request arrives ahead of an older one in its bank", seed)
+		}
+		depth := checkDispatched(t, fmt.Sprintf("hot-bank seed %d", seed), reqs, horizon)
+		if depth < 30 {
+			t.Fatalf("hot-bank seed %d: deepest bank queue %d reads, want at least 30", seed, depth)
+		}
+		t.Logf("hot-bank seed %d: %d of %d requests out of order, deepest bank %d reads", seed, n, len(reqs), depth)
+	}
+}
+
+// FuzzSchedulerEquivalence varies the dispatched-traffic shape: seed, bank
+// spread, rows, lead and write share.
+func FuzzSchedulerEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(32), uint8(16), uint16(2000), uint8(30))
+	f.Add(int64(2), uint8(1), uint8(2), uint16(4000), uint8(10))
+	f.Add(int64(3), uint8(4), uint8(3), uint16(600), uint8(50))
+	f.Add(int64(4), uint8(8), uint8(64), uint16(0), uint8(0))
+	f.Add(int64(5), uint8(2), uint8(1), uint16(9000), uint8(90))
+	f.Fuzz(func(t *testing.T, seed int64, banks, rows uint8, lead uint16, writePct uint8) {
+		reqs, horizon := spreadTraffic(seed, 800, 1+int(banks)%32, 1+int(rows)%64, Tick(lead), int(writePct)%101)
+		checkDispatched(t, "fuzz", reqs, horizon)
+	})
 }

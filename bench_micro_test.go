@@ -229,8 +229,7 @@ func benchMitigated(b *testing.B, cfg exp.RunConfig) {
 // iteration over pre-recorded traces (recorded outside the timer, replayed
 // each iteration), with a PARA mitigator so controller wakes and DRFM stalls
 // exercise the event queue. No exp-harness or cache layers in the loop.
-func benchSystemRun(b *testing.B, engine system.EngineKind) {
-	b.Helper()
+func benchSystemRun(b *testing.B) {
 	gens, err := workload.Rate("mcf", 8, 20_000, 0xbe7c)
 	if err != nil {
 		b.Fatal(err)
@@ -242,7 +241,6 @@ func benchSystemRun(b *testing.B, engine system.EngineKind) {
 	ts := runcache.RecordAll(srcs)
 
 	cfg := system.DefaultConfig()
-	cfg.Engine = engine
 	cfg.NewMitigator = func(sub int) memctrl.Mitigator {
 		m, err := tracker.NewPARA(0.01, tracker.ModeDRFMsb, sim.NewRNG(uint64(sub+99)))
 		if err != nil {
@@ -267,19 +265,17 @@ func benchSystemRun(b *testing.B, engine system.EngineKind) {
 		}
 		iters, events = sys.LoopStats()
 	}
-	// Loop-shape metrics: both engines must drain the same event count, and
-	// iters/op is the tick-visit budget the wheel and fast-forward defend.
+	// Loop-shape metrics: iters/op is the tick-visit budget the wheel and
+	// the fast-forward defend.
 	b.ReportMetric(float64(iters), "iters/op")
 	b.ReportMetric(float64(events), "events/op")
 }
 
-// BenchmarkSystemRun compares the timing-wheel engine against the retained
-// legacy scan-everything loop on an identical mitigated simulation. The
-// wheel sub-benchmark is the tracked number; legacy is the reference that
-// quantifies what the wheel buys.
+// BenchmarkSystemRun measures the timing-wheel event loop on a mitigated
+// simulation. The sub-benchmark keeps the name wheel so its recorded numbers
+// stay comparable.
 func BenchmarkSystemRun(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) { benchSystemRun(b, system.EngineWheel) })
-	b.Run("legacy", func(b *testing.B) { benchSystemRun(b, system.EngineLegacy) })
+	b.Run("wheel", benchSystemRun)
 }
 
 // BenchmarkMitigatedRun is the tracked mitigated-run canary (the workload

@@ -35,8 +35,8 @@ func smallCfg(scheme Scheme) RunConfig {
 }
 
 // TestCacheTransparency is the determinism acceptance test: for a fixed
-// seed, the cached path (first-miss, then hit), the cache-disabled path,
-// and the flat-scheduler reference all produce identical RunResults.
+// seed, the cached path (first-miss, then hit) and the cache-disabled path
+// produce identical RunResults.
 func TestCacheTransparency(t *testing.T) {
 	for _, scheme := range []Scheme{Baseline, MINTWith(tracker.ModeDRFMsb)} {
 		withFreshCache(t, func() {
@@ -60,16 +60,6 @@ func TestCacheTransparency(t *testing.T) {
 			}
 			if !reflect.DeepEqual(miss, uncached) {
 				t.Errorf("%s: uncached run differs from cached:\ncached   %+v\nuncached %+v", scheme.Name, miss, uncached)
-			}
-
-			legacy := cfg
-			legacy.legacySched = true
-			flat, err := Run(legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(miss, flat) {
-				t.Errorf("%s: flat-scheduler run differs from banked:\nbanked %+v\nflat   %+v", scheme.Name, miss, flat)
 			}
 		})
 	}

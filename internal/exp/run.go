@@ -121,13 +121,6 @@ type RunConfig struct {
 	// Ctx, when non-nil, cancels the run: the simulation aborts at the next
 	// progress check with an error satisfying errors.Is(err, ctx.Err()).
 	Ctx context.Context
-
-	// legacySched selects the flat-queue reference scheduler in the memory
-	// controllers (equivalence tests only).
-	legacySched bool
-	// legacyEngine selects the legacy scan-everything event loop in system
-	// (equivalence tests only).
-	legacyEngine bool
 }
 
 // --- process-wide run cache -------------------------------------------------
@@ -283,12 +276,11 @@ func (cfg RunConfig) runKey() (runcache.RunKey, bool) {
 
 // machineKey builds the scheme-independent machine identity shared by
 // runKey and mitKey: the trace plus every knob that shapes the simulated
-// machine. It rejects metrics-bearing and legacy-path runs (metrics runs
-// must actually simulate to emit anything; the legacy reference paths exist
-// to be diffed, not replayed).
+// machine. It rejects metrics-bearing runs, which must actually simulate to
+// emit anything.
 func (cfg RunConfig) machineKey() (runcache.RunKey, bool) {
 	tk, ok := cfg.traceKey()
-	if !ok || cfg.Metrics != nil || cfg.legacySched || cfg.legacyEngine {
+	if !ok || cfg.Metrics != nil {
 		return runcache.RunKey{}, false
 	}
 	mop := cfg.MOPCap
@@ -572,12 +564,6 @@ func runUncached(cfg RunConfig, attempt int) (res stats.RunResult, err error) {
 	sysCfg.CtrlCfg.EnableCharacterization = cfg.Characterize
 	if cfg.MOPCap > 0 {
 		sysCfg.CtrlCfg.MOPCap = cfg.MOPCap
-	}
-	if cfg.legacySched {
-		sysCfg.CtrlCfg.Scheduler = memctrl.SchedFlat
-	}
-	if cfg.legacyEngine {
-		sysCfg.Engine = system.EngineLegacy
 	}
 	sysCfg.MaxTime = cfg.MaxTime
 

@@ -54,14 +54,6 @@ type Config struct {
 	// EnableCharacterization counts demand activations per (bank, row)
 	// without any resets, for the Table-3 workload characterisation.
 	EnableCharacterization bool
-	// Scheduler selects the queue implementation (SchedBanked by default;
-	// SchedFlat keeps the original flat-scan reference for equivalence
-	// testing). Both produce identical schedules.
-	Scheduler SchedKind
-	// DisableFastForward turns off the quiescence fast-forward in NextWake
-	// (kept for the fast-forward equivalence tests: runs with it on and off
-	// must be bit-identical, differing only in wake-call counts).
-	DisableFastForward bool
 }
 
 // DefaultConfig returns the baseline controller policy.
@@ -139,11 +131,7 @@ func New(cfg Config, dev *dram.SubChannel, mit Mitigator,
 	for i := range c.allBanks {
 		c.allBanks[i] = i
 	}
-	if cfg.Scheduler == SchedFlat {
-		c.sched = newFlatSched(c)
-	} else {
-		c.sched = newBankedSched(c, dev.NumBanks())
-	}
+	c.sched = newBankedSched(c, dev.NumBanks())
 	if cfg.EnableAudit {
 		c.Auditor = NewAuditor(1<<31, RefsPerWindow)
 	}
@@ -159,8 +147,9 @@ func (c *Controller) Device() *dram.SubChannel { return c.dev }
 // Mitigator exposes the attached policy.
 func (c *Controller) Mitigator() Mitigator { return c.mit }
 
-// Enqueue adds a request. The system must recompute the controller's wake
-// time afterwards (NextWake).
+// Enqueue adds a request. The caller must lower the controller's wake time
+// to the request's arrival if that is earlier: the bound Process returned
+// did not know of it.
 func (c *Controller) Enqueue(r Request) {
 	r.seq = c.nextSeq
 	c.nextSeq++
@@ -188,21 +177,7 @@ func (c *Controller) Process(now Tick) (Tick, error) {
 			return 0, err
 		}
 	}
-	return c.NextWake(now), nil
-}
-
-// startTime computes the earliest time request r could begin service, and
-// whether it is a row-buffer hit.
-func (c *Controller) startTime(r Request) (Tick, bool) {
-	open := c.dev.OpenRow(r.Bank)
-	switch {
-	case open == int64(r.Row):
-		return sim.MaxTick(r.Arrival, c.dev.EarliestColumn(r.Bank)), true
-	case open != dram.NoRow:
-		return sim.MaxTick(r.Arrival, c.dev.EarliestPrecharge(r.Bank)), false
-	default:
-		return sim.MaxTick(r.Arrival, c.dev.EarliestActivate(r.Bank)), false
-	}
+	return c.nextWake(now), nil
 }
 
 // wantWrites updates and reports write-drain mode.
@@ -218,36 +193,22 @@ func (c *Controller) wantWrites() bool {
 	return c.draining
 }
 
-// NextWake reports a lower bound on the next time the controller can take
+// nextWake reports a lower bound on the next time the controller can take
 // any action: no command can issue, and no controller state can change,
 // strictly before the returned tick (absent a new arrival, which lowers the
-// system's wake independently).
-func (c *Controller) NextWake(now Tick) Tick {
-	w := c.nextRefresh
-	reads, writes := c.sched.lens()
-	includeWrites := writes > 0 && (c.draining || writes >= WriteHi || reads == 0)
-	// Quiescence fast-forward: when the next Process call is certain to run
-	// in write-drain mode — and the drain is certain to stay open until a
-	// write is actually serviced — pending reads are ineligible however many
-	// wake/check cycles run, so the earliest possible action is a write
-	// start (or the refresh) and reads drop out of the bound. Certainty
-	// requires the write queue to pin the drain open on its own: either the
-	// drain is already latched with writes above the exit watermark, or the
-	// queue is at/above the entry watermark. Arrivals only grow queues, so
-	// no interleaved wake can observe a different wantWrites decision; the
-	// ticks skipped here are exactly the no-op wake/check cycles the legacy
-	// bound stepped through one by one.
-	mode := minReads
-	if includeWrites {
-		mode = minReadsWrites
-		if !c.cfg.DisableFastForward &&
-			((c.draining && writes > WriteLo) || writes >= WriteHi) {
-			mode = minWrites
-		}
-	}
-	if m := c.sched.minStart(mode); m < w {
-		w = m
-	}
+// system's wake independently). Only Process may call it, right after
+// wantWrites, because the bound rests on the drain state that call left:
+//
+//   - Draining implies more than WriteLo writes are queued. Arrivals only
+//     grow the queues, so the drain stays open until a write is serviced,
+//     and reads are ineligible however many wakes run before then: the
+//     bound folds writes alone (the quiescence fast-forward).
+//   - Otherwise only reads can start next, unless none are queued: a drain
+//     that just closed at WriteLo can leave writes with no reads, and the
+//     next wantWrites reopens it, so the bound folds writes.
+func (c *Controller) nextWake(now Tick) Tick {
+	reads, _ := c.sched.lens()
+	w := sim.MinTick(c.nextRefresh, c.sched.minStart(c.draining || reads == 0))
 	if w <= now {
 		w = now + 1
 	}

@@ -7,42 +7,11 @@ import (
 	"repro/internal/sim"
 )
 
-// SchedKind selects the controller's queue implementation.
-type SchedKind int
-
-const (
-	// SchedBanked is the default: per-bank FIFOs kept in enqueue order,
-	// with per-bank earliest-start aggregates that a command to a bank
-	// invalidates for that bank alone. A probe recomputes only the banks
-	// whose state changed, scans stop at the first request that can start
-	// at its class's earliest time, and NextWake folds one value per bank
-	// instead of rescanning the queue.
-	SchedBanked SchedKind = iota
-	// SchedFlat is the original flat-slice reference implementation,
-	// retained for the scheduler-equivalence tests: both kinds must
-	// produce bit-identical schedules.
-	SchedFlat
-)
-
-// minQuery selects which directions a minStart query folds over.
-type minQuery int
-
-const (
-	// minReads bounds the next read start (writes ineligible).
-	minReads minQuery = iota
-	// minReadsWrites bounds the next start over both directions.
-	minReadsWrites
-	// minWrites bounds the next write start alone — the quiescence
-	// fast-forward query: while a write drain is pinned open, reads cannot
-	// start no matter how often the controller wakes, so they are excluded
-	// from the wake bound.
-	minWrites
-)
-
-// scheduler is the controller's pending-request store. Both implementations
-// realise the same FR-FCFS policy: among requests startable at now, row
-// hits beat misses, earlier start times beat later ones, and remaining
-// ties go to the oldest request (lowest enqueue sequence number).
+// scheduler is the controller's pending-request store. It realises FR-FCFS:
+// among requests startable at now, row hits beat misses, earlier start times
+// beat later ones, and remaining ties go to the oldest request (lowest
+// enqueue sequence number). Production runs bankedSched; the tests swap in
+// a flat reference that rescans whole queues and must schedule identically.
 type scheduler interface {
 	enqueue(r Request)
 	lens() (reads, writes int)
@@ -51,91 +20,14 @@ type scheduler interface {
 	// service-start time.
 	pick(now Tick, fromWrite bool) (Request, Tick, bool)
 	// minStart reports the earliest service-start time over the queued
-	// directions selected by q, or sim.Forever.
-	minStart(q minQuery) Tick
+	// reads (or writes when writes is set), or sim.Forever.
+	minStart(writes bool) Tick
 	// dirtyBank invalidates cached timing state for bank b after the
 	// controller issued a command that moved the bank's horizons.
 	dirtyBank(b int)
 	// dirtyAll invalidates every bank (REF, DRFMab, whole-channel stalls).
 	dirtyAll()
 }
-
-// --- flat reference implementation ------------------------------------------
-
-type flatSched struct {
-	c      *Controller
-	readQ  []Request
-	writeQ []Request
-}
-
-func newFlatSched(c *Controller) *flatSched { return &flatSched{c: c} }
-
-func (s *flatSched) enqueue(r Request) {
-	if r.IsWrite {
-		s.writeQ = append(s.writeQ, r)
-	} else {
-		s.readQ = append(s.readQ, r)
-	}
-}
-
-func (s *flatSched) lens() (int, int) { return len(s.readQ), len(s.writeQ) }
-
-func (s *flatSched) pick(now Tick, fromWrite bool) (Request, Tick, bool) {
-	q := &s.readQ
-	if fromWrite {
-		q = &s.writeQ
-	}
-	bestIdx := -1
-	bestStart := sim.Forever
-	bestHit := false
-	for i := range *q {
-		st, hit := s.c.startTime((*q)[i])
-		if st > now {
-			continue
-		}
-		better := false
-		switch {
-		case bestIdx < 0:
-			better = true
-		case hit && !bestHit:
-			better = true
-		case hit == bestHit && st < bestStart:
-			better = true
-		}
-		if better {
-			bestIdx, bestStart, bestHit = i, st, hit
-		}
-	}
-	if bestIdx < 0 {
-		return Request{}, 0, false
-	}
-	r := (*q)[bestIdx]
-	*q = append((*q)[:bestIdx], (*q)[bestIdx+1:]...)
-	return r, bestStart, true
-}
-
-func (s *flatSched) minStart(mode minQuery) Tick {
-	w := sim.Forever
-	scan := func(q []Request) {
-		for i := range q {
-			if st, _ := s.c.startTime(q[i]); st < w {
-				w = st
-			}
-		}
-	}
-	if mode != minWrites {
-		scan(s.readQ)
-	}
-	if mode != minReads {
-		scan(s.writeQ)
-	}
-	return w
-}
-
-func (s *flatSched) dirtyBank(int) {}
-func (s *flatSched) dirtyAll()     {}
-
-// --- banked implementation ---------------------------------------------------
 
 // maxBanks bounds the banks one banked scheduler serves: its active and
 // dirty sets are one bit per bank of a uint64.
@@ -177,6 +69,11 @@ type bankedQueue struct {
 	aggMiss  Tick
 }
 
+// bankedSched keeps per-bank FIFOs in enqueue order, with per-bank
+// earliest-start aggregates that a command to a bank invalidates for that
+// bank alone. A probe recomputes only the banks whose state changed, scans
+// stop at the first request that can start at its class's earliest time,
+// and minStart folds one value per bank instead of rescanning the queue.
 type bankedSched struct {
 	c      *Controller
 	reads  bankedQueue
@@ -346,20 +243,8 @@ func (s *bankedSched) pick(now Tick, fromWrite bool) (Request, Tick, bool) {
 	return r, start, true
 }
 
-func (s *bankedSched) minStart(mode minQuery) Tick {
-	w := sim.Forever
-	if mode != minWrites {
-		w = s.earliest(&s.reads)
-	}
-	if mode != minReads {
-		w = sim.MinTick(w, s.earliest(&s.writes))
-	}
-	return w
-}
-
-// earliest reports the earliest service start over q's requests, or
-// sim.Forever when q is empty.
-func (s *bankedSched) earliest(q *bankedQueue) Tick {
+func (s *bankedSched) minStart(writes bool) Tick {
+	q := s.queue(writes)
 	if q.size == 0 {
 		return sim.Forever
 	}

@@ -3,12 +3,116 @@ package memctrl
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/dram"
 	"repro/internal/sim"
 )
+
+// flatSched is the reference scheduler: two flat queues in enqueue order,
+// rescanned in full on every pick and every minStart. The banked scheduler
+// must produce bit-identical schedules to it.
+type flatSched struct {
+	c      *Controller
+	readQ  []Request
+	writeQ []Request
+}
+
+func newFlatSched(c *Controller) *flatSched { return &flatSched{c: c} }
+
+func (s *flatSched) enqueue(r Request) {
+	if r.IsWrite {
+		s.writeQ = append(s.writeQ, r)
+	} else {
+		s.readQ = append(s.readQ, r)
+	}
+}
+
+func (s *flatSched) lens() (int, int) { return len(s.readQ), len(s.writeQ) }
+
+// startTime computes the earliest time request r could begin service, and
+// whether it is a row-buffer hit.
+func (s *flatSched) startTime(r Request) (Tick, bool) {
+	dev := s.c.dev
+	open := dev.OpenRow(r.Bank)
+	switch {
+	case open == int64(r.Row):
+		return sim.MaxTick(r.Arrival, dev.EarliestColumn(r.Bank)), true
+	case open != dram.NoRow:
+		return sim.MaxTick(r.Arrival, dev.EarliestPrecharge(r.Bank)), false
+	default:
+		return sim.MaxTick(r.Arrival, dev.EarliestActivate(r.Bank)), false
+	}
+}
+
+func (s *flatSched) pick(now Tick, fromWrite bool) (Request, Tick, bool) {
+	q := &s.readQ
+	if fromWrite {
+		q = &s.writeQ
+	}
+	bestIdx := -1
+	bestStart := sim.Forever
+	bestHit := false
+	for i := range *q {
+		st, hit := s.startTime((*q)[i])
+		if st > now {
+			continue
+		}
+		better := false
+		switch {
+		case bestIdx < 0:
+			better = true
+		case hit && !bestHit:
+			better = true
+		case hit == bestHit && st < bestStart:
+			better = true
+		}
+		if better {
+			bestIdx, bestStart, bestHit = i, st, hit
+		}
+	}
+	if bestIdx < 0 {
+		return Request{}, 0, false
+	}
+	r := (*q)[bestIdx]
+	*q = append((*q)[:bestIdx], (*q)[bestIdx+1:]...)
+	return r, bestStart, true
+}
+
+func (s *flatSched) minStart(writes bool) Tick {
+	q := s.readQ
+	if writes {
+		q = s.writeQ
+	}
+	w := sim.Forever
+	for i := range q {
+		if st, _ := s.startTime(q[i]); st < w {
+			w = st
+		}
+	}
+	return w
+}
+
+func (s *flatSched) dirtyBank(int) {}
+func (s *flatSched) dirtyAll()     {}
+
+// conservativeWake is nextWake without the quiescence fast-forward: once
+// writes are eligible it keeps the queued reads in the bound, even while a
+// drain held open by the write queue makes them ineligible, so the clock
+// steps through every no-op wake the fast-forward skips.
+func conservativeWake(c *Controller, now Tick) Tick {
+	reads, writes := c.sched.lens()
+	w := sim.MinTick(c.nextRefresh, c.sched.minStart(false))
+	if writes > 0 && (c.draining || writes >= WriteHi || reads == 0) {
+		w = sim.MinTick(w, c.sched.minStart(true))
+	}
+	if w <= now {
+		w = now + 1
+	}
+	return w
+}
 
 // stressMit exercises every mitigation-op path deterministically so the
 // scheduler equivalence test covers stalls, DRFMs, samples and NRRs, not
@@ -73,29 +177,35 @@ type dispatched struct {
 	r  Request
 }
 
-// driveSched feeds reqs (sorted by dispatch tick) into a fresh controller of
-// the given scheduler kind the way the system does: each request is enqueued
-// at its dispatch tick and lowers the controller's wake to its arrival, and
-// the controller runs only when its wake is due. Tokens must be the
-// requests' indexes in reqs. It returns the full observable trace and the
-// deepest any one bank's queue of demand reads grew.
-func driveSched(t testing.TB, kind SchedKind, mit Mitigator, reqs []dispatched, horizon Tick) (schedTrace, int) {
+// driveMode selects the references a drive substitutes: flat swaps in the
+// flat scheduler, and conservative wakes the controller at conservativeWake
+// instead of the bound Process returns.
+type driveMode struct{ flat, conservative bool }
+
+// driveSched feeds reqs (sorted by dispatch tick) into a fresh controller
+// the way the system does: each request is enqueued at its dispatch tick and
+// lowers the controller's wake to its arrival, and the controller runs only
+// when its wake is due. Tokens must be the requests' indexes in reqs. It
+// returns the full observable trace and the deepest any one bank's queue of
+// demand reads grew.
+func driveSched(t testing.TB, mode driveMode, mit Mitigator, reqs []dispatched, horizon Tick) (schedTrace, int) {
 	t.Helper()
 	dev, err := dram.NewSubChannel(dram.DefaultTimings(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Scheduler = kind
 	var tr schedTrace
 	depth := make([]int, 32)
 	maxDepth := 0
-	c, err := New(cfg, dev, mit, func(core int, token uint64, done Tick) {
+	c, err := New(DefaultConfig(), dev, mit, func(core int, token uint64, done Tick) {
 		tr.dones = append(tr.dones, done)
 		depth[reqs[token].r.Bank]--
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if mode.flat {
+		c.sched = newFlatSched(c)
 	}
 	now, wake := Tick(0), Tick(0)
 	i := 0
@@ -116,6 +226,9 @@ func driveSched(t testing.TB, kind SchedKind, mit Mitigator, reqs []dispatched, 
 		if wake <= now {
 			if wake, err = c.Process(now); err != nil {
 				t.Fatal(err)
+			}
+			if mode.conservative {
+				wake = conservativeWake(c, now)
 			}
 			tr.wakes = append(tr.wakes, wake)
 		}
@@ -198,8 +311,8 @@ func TestSchedulerEquivalence(t *testing.T) {
 	horizon := 4 * dram.DefaultTimings().TREFI
 	for _, seed := range []int64{1, 2, 3, 0x5eed, 0xbeef} {
 		reqs := randomReqs(seed, 4000, horizon)
-		flat, _ := driveSched(t, SchedFlat, &stressMit{}, atArrival(reqs), horizon)
-		bank, _ := driveSched(t, SchedBanked, &stressMit{}, atArrival(reqs), horizon)
+		flat, _ := driveSched(t, driveMode{flat: true}, &stressMit{}, atArrival(reqs), horizon)
+		bank, _ := driveSched(t, driveMode{}, &stressMit{}, atArrival(reqs), horizon)
 
 		compareTraces(t, fmt.Sprintf("seed %d", seed), flat, bank)
 		if flat.reads == 0 || flat.wris == 0 || flat.mits == 0 || flat.refs == 0 {
@@ -228,8 +341,8 @@ func TestSchedulerEquivalencePlain(t *testing.T) {
 				Notify:  !w,
 			})
 		}
-		flat, _ := driveSched(t, SchedFlat, nil, atArrival(reqs), horizon)
-		bank, _ := driveSched(t, SchedBanked, nil, atArrival(reqs), horizon)
+		flat, _ := driveSched(t, driveMode{flat: true}, nil, atArrival(reqs), horizon)
+		bank, _ := driveSched(t, driveMode{}, nil, atArrival(reqs), horizon)
 		compareTraces(t, fmt.Sprintf("seed %d", seed), flat, bank)
 	}
 }
@@ -340,8 +453,8 @@ func checkDispatched(t testing.TB, label string, reqs []dispatched, horizon Tick
 		if withMit {
 			fm, bm = &stressMit{}, &stressMit{}
 		}
-		flat, d := driveSched(t, SchedFlat, fm, reqs, horizon)
-		bank, _ := driveSched(t, SchedBanked, bm, reqs, horizon)
+		flat, d := driveSched(t, driveMode{flat: true}, fm, reqs, horizon)
+		bank, _ := driveSched(t, driveMode{}, bm, reqs, horizon)
 		compareTraces(t, fmt.Sprintf("%s (mitigator %v)", label, withMit), flat, bank)
 		if flat.qr != 0 || flat.qw != 0 {
 			t.Fatalf("%s: %d reads and %d writes still queued at the horizon", label, flat.qr, flat.qw)
@@ -392,6 +505,56 @@ func TestSchedulerEquivalenceDispatched(t *testing.T) {
 		}
 		t.Logf("hot-bank seed %d: %d of %d requests out of order, deepest bank %d reads", seed, n, len(reqs), depth)
 	}
+}
+
+// TestFastForwardEquivalence proves the quiescence fast-forward is
+// schedule-neutral: nextWake leaves queued reads out of the bound while a
+// write drain is open, so the controller wakes less often, but every REF
+// boundary, drain decision and command lands on the same tick as when it
+// wakes at the conservative bound. Both drives must give the same
+// completions and counters, and the fast-forward no more wakes.
+func TestFastForwardEquivalence(t *testing.T) {
+	type shape struct {
+		label   string
+		reqs    []dispatched
+		horizon Tick
+	}
+	var shapes []shape
+	for _, seed := range []int64{1, 0x5eed} {
+		horizon := 4 * dram.DefaultTimings().TREFI
+		shapes = append(shapes, shape{fmt.Sprintf("random seed %d", seed), atArrival(randomReqs(seed, 4000, horizon)), horizon})
+	}
+	for _, writePct := range []int{30, 70} {
+		reqs, horizon := spreadTraffic(7, 4000, 32, 16, 2000, writePct)
+		shapes = append(shapes, shape{fmt.Sprintf("spread %d%% writes", writePct), reqs, horizon})
+	}
+	reqs, horizon := hotBankTraffic(3)
+	shapes = append(shapes, shape{"hot-bank", reqs, horizon})
+
+	skipped := 0
+	for _, sh := range shapes {
+		for _, withMit := range []bool{true, false} {
+			var fm, cm Mitigator
+			if withMit {
+				fm, cm = &stressMit{}, &stressMit{}
+			}
+			label := fmt.Sprintf("%s (mitigator %v)", sh.label, withMit)
+			ff, _ := driveSched(t, driveMode{}, fm, sh.reqs, sh.horizon)
+			cons, _ := driveSched(t, driveMode{conservative: true}, cm, sh.reqs, sh.horizon)
+			if !slices.Equal(ff.dones, cons.dones) || ff.schedStats != cons.schedStats {
+				t.Errorf("%s: fast-forward changed the schedule:\nconservative %+v\nfast-forward %+v",
+					label, cons.schedStats, ff.schedStats)
+			}
+			if len(ff.wakes) > len(cons.wakes) {
+				t.Errorf("%s: fast-forward raised wakes %d -> %d", label, len(cons.wakes), len(ff.wakes))
+			}
+			skipped += len(cons.wakes) - len(ff.wakes)
+		}
+	}
+	if skipped <= 0 {
+		t.Fatal("the fast-forward skipped no wake on any shape; the comparison shows nothing")
+	}
+	t.Logf("the fast-forward skipped %d wakes over %d drives", skipped, 2*len(shapes))
 }
 
 // FuzzSchedulerEquivalence varies the dispatched-traffic shape: seed, bank

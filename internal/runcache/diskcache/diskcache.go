@@ -126,9 +126,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 // Dir reports the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// MaxBytes reports the configured size cap.
-func (s *Store) MaxBytes() int64 { return s.maxBytes }
-
 // entryPath maps a namespaced key to its sharded file path.
 func (s *Store) entryPath(ns, key string) string {
 	h := sha256.Sum256([]byte(ns + "\x00" + key))

@@ -26,11 +26,6 @@ const FailureBudget = 20.0
 // PARAProb is the coupled-PARA selection probability: p·T_RH = 20.
 func PARAProb(trh int) float64 { return FailureBudget / float64(trh) }
 
-// PARAFailureExp returns the exponent c such that the probability that a
-// row survives T activations unselected is e^-c, for coupled PARA
-// (exponential epochs): c = p·T.
-func PARAFailureExp(p float64, t int) float64 { return p * float64(t) }
-
 // DelayedPARAFailure returns the probability that sampling plus delayed
 // DRFM together span more than T activations (Appendix A, Equation 1):
 // the sum of two exponentials is Gamma(2, p), whose tail is
@@ -140,12 +135,6 @@ func RMAQImpact(w int) int {
 		return 0
 	}
 	return int(d + 0.5)
-}
-
-// ToleratedWithRMAQ reports the effective tolerated T_RH of DREAM-R (MINT)
-// at window W when the RMAQ rate limit is enforced (Table 7 bottom row).
-func ToleratedWithRMAQ(w int) int {
-	return MINTToleratedTRH(w) + RMAQImpact(w)
 }
 
 // DoSRoundNS reports the §5.5 DREAM-C denial-of-service arithmetic: the

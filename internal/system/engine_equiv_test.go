@@ -1,12 +1,99 @@
 package system
 
 import (
+	"container/heap"
+	"fmt"
 	"testing"
 
 	"repro/internal/memctrl"
 	"repro/internal/sim"
 	"repro/internal/tracker"
 )
+
+// completion is one demand-load completion in the reference loop's heap.
+type completion struct {
+	at    Tick
+	core  int
+	token uint64
+}
+
+// completionHeap orders completions by (at, core, token), a total order (no
+// two completions share all three), so pop order does not depend on the
+// heap's shape.
+type completionHeap []completion
+
+func (h completionHeap) Len() int { return len(h) }
+func (h completionHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	if h[i].core != h[j].core {
+		return h[i].core < h[j].core
+	}
+	return h[i].token < h[j].token
+}
+func (h completionHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *completionHeap) Push(x any)   { *h = append(*h, x.(completion)) }
+func (h *completionHeap) Pop() any {
+	old := *h
+	c := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return c
+}
+
+// runLegacy is the reference event loop Run must match: a linear wake scan
+// plus a completion-heap peek per iteration, with a full finished-core
+// rescan after every tick. Before the first Step it rebuilds each
+// controller over the same device and mitigator so that completions land in
+// the reference's own heap instead of the wheel.
+func runLegacy(s *System) error {
+	var pending completionHeap
+	for i, old := range s.ctrls {
+		ctrl, err := memctrl.New(s.cfg.CtrlCfg, old.Device(), old.Mitigator(),
+			func(core int, token uint64, done Tick) {
+				heap.Push(&pending, completion{at: done, core: core, token: token})
+			})
+		if err != nil {
+			return err
+		}
+		s.ctrls[i] = ctrl
+	}
+	for _, c := range s.cores {
+		c.Step()
+	}
+	s.refreshDone()
+	for s.finished < len(s.cores) {
+		s.iters++
+		t := sim.Forever
+		for _, w := range s.wakes {
+			if w < t {
+				t = w
+			}
+		}
+		if len(pending) > 0 && pending[0].at < t {
+			t = pending[0].at
+		}
+		if t >= s.cfg.MaxTime {
+			return fmt.Errorf("system: exceeded MaxTime %v at %v (deadlock?)", s.cfg.MaxTime, s.now)
+		}
+		if t == sim.Forever {
+			return fmt.Errorf("system: no pending events but %d cores unfinished", len(s.cores)-s.finished)
+		}
+		s.now = t
+		// Deliver due completions first so cores can issue new requests
+		// before controllers decide what to do at this instant.
+		for len(pending) > 0 && pending[0].at <= t {
+			c := heap.Pop(&pending).(completion)
+			s.events++
+			s.cores[c.core].Complete(c.token, c.at)
+		}
+		if err := s.processControllers(t); err != nil {
+			return err
+		}
+		s.refreshDone()
+	}
+	return nil
+}
 
 // engineFingerprint captures every externally observable outcome of a run:
 // per-core retirement and finish, per-controller scheduling and mitigation
@@ -88,19 +175,11 @@ func equalFP(a, b engineFingerprint) bool {
 		eqU(a.mits, b.mits) && eqT(a.latency, b.latency)
 }
 
-// runEngine executes one run under the given engine and reports its
-// fingerprint plus loop statistics.
-func runEngine(t *testing.T, engine EngineKind, mitigated bool, wl string, seed uint64) (engineFingerprint, uint64, uint64) {
-	t.Helper()
-	return runEngineCfg(t, engine, mitigated, wl, seed, nil)
-}
-
-// runEngineCfg is runEngine with a config hook applied before New, for the
-// fast-forward equivalence variant.
-func runEngineCfg(t *testing.T, engine EngineKind, mitigated bool, wl string, seed uint64, mutate func(*Config)) (engineFingerprint, uint64, uint64) {
+// runEngine executes one run, under Run or the runLegacy reference, and
+// reports its fingerprint plus loop statistics.
+func runEngine(t *testing.T, legacy, mitigated bool, wl string, seed uint64) (engineFingerprint, uint64, uint64) {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Engine = engine
 	if mitigated {
 		cfg.NewMitigator = func(sub int) memctrl.Mitigator {
 			m, err := tracker.NewPARA(0.01, tracker.ModeDRFMsb, sim.NewRNG(uint64(sub+99)))
@@ -110,20 +189,27 @@ func runEngineCfg(t *testing.T, engine EngineKind, mitigated bool, wl string, se
 			return m
 		}
 	}
-	if mutate != nil {
-		mutate(&cfg)
+	sys, err := New(cfg, traces(t, wl, 4, 6000, seed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sys := run(t, cfg, traces(t, wl, 4, 6000, seed))
+	loop := sys.Run
+	if legacy {
+		loop = func() error { return runLegacy(sys) }
+	}
+	if err := loop(); err != nil {
+		t.Fatal(err)
+	}
 	iters, events := sys.LoopStats()
 	return fingerprint(sys), iters, events
 }
 
-// TestEngineEquivalenceUnmitigated proves the wheel engine is bit-identical
-// to the legacy engine on an unprotected run.
+// TestEngineEquivalenceUnmitigated proves Run is bit-identical to the
+// legacy reference loop on an unprotected run.
 func TestEngineEquivalenceUnmitigated(t *testing.T) {
 	for _, wl := range []string{"mcf", "copy"} {
-		legacy, _, levents := runEngine(t, EngineLegacy, false, wl, 11)
-		wheel, _, wevents := runEngine(t, EngineWheel, false, wl, 11)
+		legacy, _, levents := runEngine(t, true, false, wl, 11)
+		wheel, _, wevents := runEngine(t, false, false, wl, 11)
 		if !equalFP(legacy, wheel) {
 			t.Errorf("%s: engines diverged:\nlegacy %+v\nwheel  %+v", wl, legacy, wheel)
 		}
@@ -138,8 +224,8 @@ func TestEngineEquivalenceUnmitigated(t *testing.T) {
 // wake-event staleness protocol (mitigation ops push wakes around).
 func TestEngineEquivalenceMitigated(t *testing.T) {
 	for _, wl := range []string{"omnetpp", "bc"} {
-		legacy, _, levents := runEngine(t, EngineLegacy, true, wl, 77)
-		wheel, _, wevents := runEngine(t, EngineWheel, true, wl, 77)
+		legacy, _, levents := runEngine(t, true, true, wl, 77)
+		wheel, _, wevents := runEngine(t, false, true, wl, 77)
 		if !equalFP(legacy, wheel) {
 			t.Errorf("%s: engines diverged:\nlegacy %+v\nwheel  %+v", wl, legacy, wheel)
 		}
@@ -149,16 +235,16 @@ func TestEngineEquivalenceMitigated(t *testing.T) {
 	}
 }
 
-// TestEngineIterationRegression pins the event-loop efficiency contract: the
-// wheel engine processes exactly the legacy event count, and its iteration
-// count (ticks visited) stays within the stale-wake bound — each Process
-// call queues at most one wake event that can later fire stale, so wheel
-// iterations can never exceed legacy iterations plus total events. In
-// practice the overhang is a few percent; the bound catches any regression
-// that would re-introduce per-event tick visits.
+// TestEngineIterationRegression pins the event-loop efficiency contract
+// against the reference: Run processes exactly the legacy event count, and
+// its iteration count (ticks visited) stays within the stale-wake bound —
+// each Process call leaves at most one wake that can later fire stale, so
+// Run's iterations can never exceed legacy iterations plus total events.
+// In practice the overhang is a few percent; the bound catches any
+// regression that would re-introduce per-event tick visits.
 func TestEngineIterationRegression(t *testing.T) {
-	legacy, liters, levents := runEngine(t, EngineLegacy, true, "omnetpp", 42)
-	wheel, witers, wevents := runEngine(t, EngineWheel, true, "omnetpp", 42)
+	legacy, liters, levents := runEngine(t, true, true, "omnetpp", 42)
+	wheel, witers, wevents := runEngine(t, false, true, "omnetpp", 42)
 	if !equalFP(legacy, wheel) {
 		t.Fatal("engines diverged; iteration comparison meaningless")
 	}
@@ -174,30 +260,4 @@ func TestEngineIterationRegression(t *testing.T) {
 	}
 	t.Logf("iters: legacy %d, wheel %d (%.1f%%); events %d",
 		liters, witers, 100*float64(witers)/float64(liters), levents)
-}
-
-// TestFastForwardEquivalence proves the quiescence fast-forward is
-// schedule-neutral: with the write-drain certainty condition excluding reads
-// from the wake bound, the clock jumps further between iterations, but every
-// REF boundary, drain decision, and command issue lands on the identical
-// tick. DisableFastForward keeps the conservative bound; both runs must
-// produce bit-identical simulations, differing at most in wake-call counts.
-func TestFastForwardEquivalence(t *testing.T) {
-	ff := func(on bool) func(*Config) {
-		return func(cfg *Config) { cfg.CtrlCfg.DisableFastForward = !on }
-	}
-	for _, engine := range []EngineKind{EngineLegacy, EngineWheel} {
-		for _, wl := range []string{"copy", "omnetpp"} {
-			off, offIters, _ := runEngineCfg(t, engine, true, wl, 123, ff(false))
-			on, onIters, _ := runEngineCfg(t, engine, true, wl, 123, ff(true))
-			if !equalFP(off, on) {
-				t.Errorf("engine %v %s: fast-forward changed the simulation:\noff %+v\non  %+v",
-					engine, wl, off, on)
-			}
-			if onIters > offIters {
-				t.Errorf("engine %v %s: fast-forward raised iterations %d -> %d",
-					engine, wl, offIters, onIters)
-			}
-		}
-	}
 }

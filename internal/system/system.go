@@ -21,24 +21,6 @@ import (
 // Tick aliases sim.Tick.
 type Tick = sim.Tick
 
-// EngineKind selects the event-loop implementation.
-type EngineKind int
-
-const (
-	// EngineWheel is the default: completions live in a timing-wheel event
-	// queue with batched same-tick delivery and O(1) bitmap search for the
-	// next event time, while controller wakes stay in a flat per-controller
-	// array — at two sub-channels a two-element scan beats any queue's
-	// maintenance cost, and hundreds of in-flight completions are where the
-	// wheel's slot extraction beats a binary heap. Core-finish checks are
-	// targeted at the cores that completed instead of a full rescan.
-	EngineWheel EngineKind = iota
-	// EngineLegacy is the original wake-scan + completion-heap loop,
-	// retained as the equivalence reference: both engines must produce
-	// bit-identical simulations.
-	EngineLegacy
-)
-
 // Config describes one simulated machine.
 type Config struct {
 	CoreCfg  cpu.Config
@@ -61,11 +43,6 @@ type Config struct {
 	// is how wall-clock watchdogs convert livelocks into run failures
 	// without the simulator itself ever reading the host clock.
 	OnProgress func(now Tick, events uint64) error
-
-	// Engine selects the event-loop implementation (EngineWheel by
-	// default; EngineLegacy keeps the original loop for equivalence
-	// testing). Both produce identical simulations.
-	Engine EngineKind
 
 	// Obs, when non-nil, receives per-bank metrics from every controller
 	// and epoch samples from the event loop. Collection never alters the
@@ -93,68 +70,6 @@ func DefaultConfig() Config {
 	}
 }
 
-type completion struct {
-	at    Tick
-	core  int
-	token uint64
-}
-
-// completionHeap is a hand-rolled binary min-heap. container/heap would box
-// every completion through interface{} on Push and Pop — two heap
-// allocations per demand load, the single largest allocation source on the
-// mitigated-run hot path. Less is a total order (no two completions share
-// (at, core, token)), so pop order — and hence the simulation — is
-// independent of the heap implementation.
-type completionHeap []completion
-
-func (h completionHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].core != h[j].core {
-		return h[i].core < h[j].core
-	}
-	return h[i].token < h[j].token
-}
-
-func (h *completionHeap) push(c completion) {
-	*h = append(*h, c)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-}
-
-func (h *completionHeap) pop() completion {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	*h = q
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && q.less(l, small) {
-			small = l
-		}
-		if r < n && q.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
-	}
-	return top
-}
-
 // System is the assembled machine.
 type System struct {
 	cfg    Config
@@ -165,7 +80,6 @@ type System struct {
 
 	now       Tick
 	wakes     []Tick
-	pending   completionHeap
 	finished  int
 	coreDone  []bool
 	err       error
@@ -173,7 +87,7 @@ type System struct {
 	fillRds   uint64
 	wbWrites  uint64
 
-	// Wheel-engine state (nil / unused under EngineLegacy).
+	// Demand-load completions, and the buffer each tick's batch pops into.
 	wheel *evq.Wheel
 	batch []evq.Event
 
@@ -183,8 +97,8 @@ type System struct {
 }
 
 // evComplete is the wheel event kind for demand-load completions; A carries
-// the core index and B the segment token, making the queue's (At, Kind, A, B)
-// order match the legacy completion heap's (at, core, token) order.
+// the core index and B the segment token, so the queue's (At, Kind, A, B)
+// order delivers one tick's completions in (core, token) order.
 const evComplete uint8 = 0
 
 // New assembles a machine running one trace per core.
@@ -203,7 +117,8 @@ func New(cfg Config, traces []cpu.Trace) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, llc: llc, mapper: mapper}
+	s := &System{cfg: cfg, llc: llc, mapper: mapper,
+		wheel: evq.NewWheel(0), batch: make([]evq.Event, 0, 64)}
 
 	for sub := 0; sub < cfg.Geometry.SubChannels; sub++ {
 		dev, err := dram.NewSubChannel(cfg.Timings, cfg.Geometry.Banks)
@@ -254,10 +169,6 @@ func New(cfg Config, traces []cpu.Trace) (*System, error) {
 				return d
 			},
 		})
-	}
-	if cfg.Engine == EngineWheel {
-		s.wheel = evq.NewWheel(0)
-		s.batch = make([]evq.Event, 0, 64)
 	}
 	return s, nil
 }
@@ -311,11 +222,7 @@ func (s *System) enqueue(lineAddr uint64, when Tick, isWrite bool, core int, tok
 
 // onDone receives demand-load completions from the controllers.
 func (s *System) onDone(core int, token uint64, done Tick) {
-	if s.wheel != nil {
-		s.wheel.Push(evq.Event{At: int64(done), Kind: evComplete, A: int32(core), B: token})
-		return
-	}
-	s.pending.push(completion{at: done, core: core, token: token})
+	s.wheel.Push(evq.Event{At: int64(done), Kind: evComplete, A: int32(core), B: token})
 }
 
 // progressStride is how many event-loop iterations pass between OnProgress
@@ -324,71 +231,22 @@ func (s *System) onDone(core int, token uint64, done Tick) {
 const progressStride = 512
 
 // Run executes until every core finishes its trace (or MaxTime).
+//
+// Completions are typed events in the timing wheel, whose slot extraction
+// beats a binary heap with hundreds of completions in flight: each
+// iteration pops the whole batch for one tick in (core, token) order and
+// delivers it with targeted finished checks, since a core can only finish
+// inside its own Complete. Controller wakes stay in the flat wakes array: with two
+// sub-channels the per-iteration scan is two compares, which beats the
+// remove-and-push round trips that keeping wakes as queue events would cost
+// on every lowered wake. Earlier versions queued wakes as events (armWake);
+// profiles showed the re-arm traffic and its allocations cost more than the
+// scan it saved.
 func (s *System) Run() error {
 	for _, c := range s.cores {
 		c.Step()
 	}
 	s.refreshDone()
-	if s.wheel != nil {
-		return s.runWheel()
-	}
-	return s.runLegacy()
-}
-
-// runLegacy is the original event loop: a linear wake scan plus a
-// completion-heap peek per iteration, with a full finished-core rescan after
-// every tick. Retained as the equivalence reference for the wheel engine.
-func (s *System) runLegacy() error {
-	for s.finished < len(s.cores) {
-		s.iters++
-		if s.cfg.OnProgress != nil && s.iters%progressStride == 0 {
-			if err := s.cfg.OnProgress(s.now, s.events); err != nil {
-				return err
-			}
-		}
-		t := sim.Forever
-		for _, w := range s.wakes {
-			if w < t {
-				t = w
-			}
-		}
-		if len(s.pending) > 0 && s.pending[0].at < t {
-			t = s.pending[0].at
-		}
-		if t >= s.cfg.MaxTime {
-			return fmt.Errorf("system: exceeded MaxTime %v at %v (deadlock?)", s.cfg.MaxTime, s.now)
-		}
-		if t == sim.Forever {
-			return fmt.Errorf("system: no pending events but %d cores unfinished", len(s.cores)-s.finished)
-		}
-		s.now = t
-		// Deliver due completions first so cores can issue new requests
-		// before controllers decide what to do at this instant.
-		for len(s.pending) > 0 && s.pending[0].at <= t {
-			c := s.pending.pop()
-			s.events++
-			s.cores[c.core].Complete(c.token, c.at)
-		}
-		// New arrivals may lower a wake below the value Process returns;
-		// enqueue already handled that via s.wakes.
-		if err := s.processControllers(t); err != nil {
-			return err
-		}
-		s.refreshDone()
-	}
-	return nil
-}
-
-// runWheel is the timing-wheel event loop. Completions are typed events in
-// the wheel — each iteration pops the whole batch for one tick in (core,
-// token) order (the legacy heap order) and delivers it with targeted
-// finished checks, since a core can only finish inside its own Complete.
-// Controller wakes stay in the flat wakes array: with two sub-channels the
-// per-iteration scan is two compares, which beats the remove-and-push round
-// trips that keeping wakes as queue events would cost on every lowered
-// wake. Earlier versions queued wakes as events (armWake); profiles showed
-// the re-arm traffic and its allocations cost more than the scan it saved.
-func (s *System) runWheel() error {
 	for s.finished < len(s.cores) {
 		s.iters++
 		if s.cfg.OnProgress != nil && s.iters%progressStride == 0 {

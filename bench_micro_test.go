@@ -265,15 +265,16 @@ func benchSystemRun(b *testing.B) {
 		}
 		iters, events = sys.LoopStats()
 	}
-	// Loop-shape metrics: iters/op is the tick-visit budget the wheel and
-	// the fast-forward defend.
+	// Loop-shape metrics: iters/op is the tick-visit budget the event loop
+	// and the fast-forward defend.
 	b.ReportMetric(float64(iters), "iters/op")
 	b.ReportMetric(float64(events), "events/op")
 }
 
-// BenchmarkSystemRun measures the timing-wheel event loop on a mitigated
-// simulation. The sub-benchmark keeps the name wheel so its recorded numbers
-// stay comparable.
+// BenchmarkSystemRun measures the event loop on a mitigated simulation. The
+// sub-benchmark keeps the name wheel, from the timing wheel that once held
+// the loop's completions, so numbers recorded under that name (BENCH_5.json,
+// BENCH_6.json) stay comparable with new runs.
 func BenchmarkSystemRun(b *testing.B) {
 	b.Run("wheel", benchSystemRun)
 }

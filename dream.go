@@ -195,15 +195,11 @@ type (
 	MetricsEvent = obs.Event
 )
 
-// RetryPolicy bounds how transiently-failed simulations are retried:
-// attempt count, base/max delay, and jitter. The zero value of every field
-// selects its documented default; DefaultRetryPolicy() reproduces the
-// historical behavior (one immediate retry with a perturbed tiebreak seed).
+// RetryPolicy bounds how transiently-failed simulations are retried: a cap
+// on total attempts and a base delay that doubles per retry, saturating
+// rather than overflowing. Every process starts with two attempts and no
+// delay, i.e. one immediate retry with a perturbed tiebreak seed.
 type RetryPolicy = harness.Backoff
-
-// DefaultRetryPolicy returns the policy every process starts with: two
-// attempts, no delay — i.e. exactly one immediate retry.
-func DefaultRetryPolicy() RetryPolicy { return harness.DefaultBackoff() }
 
 // SetRetryPolicy installs the retry policy for every subsequent run in this
 // process and returns the previous one. Retries remain salted by attempt

@@ -387,8 +387,8 @@ func RunTimeout() time.Duration { return time.Duration(runTimeoutNS.Load()) }
 // retryPolicy is the process-wide bounded-retry policy applied to
 // transiently-failed simulations (harness.IsRetryable errors). The default
 // reproduces the harness's historical behavior exactly: one immediate retry
-// with a perturbed tiebreak seed. A service front-end can widen it to capped
-// jittered exponential backoff via SetRetryPolicy.
+// with a perturbed tiebreak seed. A service front-end can widen it to more
+// attempts with exponential backoff via SetRetryPolicy.
 var retryPolicy atomic.Value // harness.Backoff
 
 func init() { retryPolicy.Store(harness.DefaultBackoff()) }

@@ -2,29 +2,22 @@ package harness
 
 import (
 	"context"
-	"math/rand"
+	"math"
 	"time"
 )
 
 // Backoff is a bounded retry policy: up to MaxAttempts total attempts with
-// capped, optionally jittered exponential delays between them. The zero
-// value never retries; DefaultBackoff() reproduces the harness's historical
+// exponential delays between them. The zero value never retries;
+// DefaultBackoff() reproduces the harness's historical
 // retry-exactly-once-immediately behavior. Backoff is a value type — copy it
-// freely; Sleep draws jitter from the shared math/rand source, which only
-// perturbs wall-clock pacing, never simulation results.
+// freely.
 type Backoff struct {
 	// MaxAttempts caps total attempts including the first (<= 1 means no
 	// retries).
 	MaxAttempts int
-	// BaseDelay is the pre-jitter wait before the first retry; each further
-	// retry doubles it. Zero retries immediately.
+	// BaseDelay is the wait before the first retry; each further retry
+	// doubles it. Zero retries immediately.
 	BaseDelay time.Duration
-	// MaxDelay caps the doubled delay (0 = uncapped).
-	MaxDelay time.Duration
-	// Jitter spreads each delay uniformly over [d·(1−Jitter/2), d·(1+Jitter/2)]
-	// so synchronized clients do not retry in lockstep. 0 = deterministic;
-	// values are clamped to [0, 1].
-	Jitter float64
 }
 
 // DefaultBackoff is the policy the experiment harness has always applied to
@@ -39,47 +32,32 @@ func (b Backoff) Attempts() int {
 	return b.MaxAttempts
 }
 
-// Delay reports the pre-jitter wait before retry number `retry` (0-based:
-// retry 0 follows the first failed attempt).
+// Delay reports the wait before retry number `retry` (0-based: retry 0
+// follows the first failed attempt). Doubling saturates at the longest
+// time.Duration rather than overflowing, so a large retry count never
+// wraps to a short or zero wait.
 func (b Backoff) Delay(retry int) time.Duration {
 	d := b.BaseDelay
 	if d <= 0 {
 		return 0
 	}
 	for i := 0; i < retry; i++ {
+		if d > math.MaxInt64/2 {
+			return math.MaxInt64
+		}
 		d *= 2
-		if d <= 0 { // overflow
-			d = b.MaxDelay
-			break
-		}
-		if b.MaxDelay > 0 && d >= b.MaxDelay {
-			d = b.MaxDelay
-			break
-		}
-	}
-	if b.MaxDelay > 0 && d > b.MaxDelay {
-		d = b.MaxDelay
 	}
 	return d
 }
 
-// Sleep waits the jittered backoff before retry number `retry`, returning
-// early with ctx.Err() if the context ends first. A zero delay returns nil
+// Sleep waits the backoff before retry number `retry`, returning early with
+// ctx.Err() if the context ends first. A zero delay returns nil
 // immediately, even under a cancelled context, so a no-delay policy behaves
 // exactly like the historical immediate retry.
 func (b Backoff) Sleep(ctx context.Context, retry int) error {
 	d := b.Delay(retry)
 	if d <= 0 {
 		return nil
-	}
-	if j := b.Jitter; j > 0 {
-		if j > 1 {
-			j = 1
-		}
-		span := time.Duration(float64(d) * j)
-		if span > 0 {
-			d += -span/2 + time.Duration(rand.Int63n(int64(span)+1))
-		}
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -92,7 +70,7 @@ func (b Backoff) Sleep(ctx context.Context, retry int) error {
 }
 
 // Retry runs f under the policy: f(0) always executes; while the returned
-// error IsRetryable and attempts remain, Retry sleeps the jittered backoff
+// error IsRetryable and attempts remain, Retry sleeps the backoff
 // (aborting the wait — but keeping the last real error — if ctx ends) and
 // runs f again with the next attempt number, so callers can salt retries.
 // The optional onRetry hook observes each scheduled retry before its sleep.

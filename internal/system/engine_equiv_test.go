@@ -10,20 +10,13 @@ import (
 	"repro/internal/tracker"
 )
 
-// completion is one demand-load completion in the reference loop's heap.
-type completion struct {
-	at    Tick
-	core  int
-	token uint64
-}
+// legacyHeap is the reference loop's container/heap of completions, ordered
+// by (at, core, token) with its own comparison rather than Run's, so the
+// two loops share no ordering code.
+type legacyHeap []completion
 
-// completionHeap orders completions by (at, core, token), a total order (no
-// two completions share all three), so pop order does not depend on the
-// heap's shape.
-type completionHeap []completion
-
-func (h completionHeap) Len() int { return len(h) }
-func (h completionHeap) Less(i, j int) bool {
+func (h legacyHeap) Len() int { return len(h) }
+func (h legacyHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
@@ -32,9 +25,9 @@ func (h completionHeap) Less(i, j int) bool {
 	}
 	return h[i].token < h[j].token
 }
-func (h completionHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x any)   { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() any {
+func (h legacyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *legacyHeap) Push(x any)   { *h = append(*h, x.(completion)) }
+func (h *legacyHeap) Pop() any {
 	old := *h
 	c := old[len(old)-1]
 	*h = old[:len(old)-1]
@@ -45,9 +38,9 @@ func (h *completionHeap) Pop() any {
 // plus a completion-heap peek per iteration, with a full finished-core
 // rescan after every tick. Before the first Step it rebuilds each
 // controller over the same device and mitigator so that completions land in
-// the reference's own heap instead of the wheel.
+// the reference's own heap instead of Run's.
 func runLegacy(s *System) error {
-	var pending completionHeap
+	var pending legacyHeap
 	for i, old := range s.ctrls {
 		ctrl, err := memctrl.New(s.cfg.CtrlCfg, old.Device(), old.Mitigator(),
 			func(core int, token uint64, done Tick) {
@@ -209,12 +202,12 @@ func runEngine(t *testing.T, legacy, mitigated bool, wl string, seed uint64) (en
 func TestEngineEquivalenceUnmitigated(t *testing.T) {
 	for _, wl := range []string{"mcf", "copy"} {
 		legacy, _, levents := runEngine(t, true, false, wl, 11)
-		wheel, _, wevents := runEngine(t, false, false, wl, 11)
-		if !equalFP(legacy, wheel) {
-			t.Errorf("%s: engines diverged:\nlegacy %+v\nwheel  %+v", wl, legacy, wheel)
+		run, _, revents := runEngine(t, false, false, wl, 11)
+		if !equalFP(legacy, run) {
+			t.Errorf("%s: engines diverged:\nlegacy %+v\nrun    %+v", wl, legacy, run)
 		}
-		if levents != wevents {
-			t.Errorf("%s: event counts diverged: legacy %d, wheel %d", wl, levents, wevents)
+		if levents != revents {
+			t.Errorf("%s: event counts diverged: legacy %d, run %d", wl, levents, revents)
 		}
 	}
 }
@@ -225,12 +218,12 @@ func TestEngineEquivalenceUnmitigated(t *testing.T) {
 func TestEngineEquivalenceMitigated(t *testing.T) {
 	for _, wl := range []string{"omnetpp", "bc"} {
 		legacy, _, levents := runEngine(t, true, true, wl, 77)
-		wheel, _, wevents := runEngine(t, false, true, wl, 77)
-		if !equalFP(legacy, wheel) {
-			t.Errorf("%s: engines diverged:\nlegacy %+v\nwheel  %+v", wl, legacy, wheel)
+		run, _, revents := runEngine(t, false, true, wl, 77)
+		if !equalFP(legacy, run) {
+			t.Errorf("%s: engines diverged:\nlegacy %+v\nrun    %+v", wl, legacy, run)
 		}
-		if levents != wevents {
-			t.Errorf("%s: event counts diverged: legacy %d, wheel %d", wl, levents, wevents)
+		if levents != revents {
+			t.Errorf("%s: event counts diverged: legacy %d, run %d", wl, levents, revents)
 		}
 	}
 }
@@ -244,20 +237,20 @@ func TestEngineEquivalenceMitigated(t *testing.T) {
 // regression that would re-introduce per-event tick visits.
 func TestEngineIterationRegression(t *testing.T) {
 	legacy, liters, levents := runEngine(t, true, true, "omnetpp", 42)
-	wheel, witers, wevents := runEngine(t, false, true, "omnetpp", 42)
-	if !equalFP(legacy, wheel) {
+	run, riters, revents := runEngine(t, false, true, "omnetpp", 42)
+	if !equalFP(legacy, run) {
 		t.Fatal("engines diverged; iteration comparison meaningless")
 	}
-	if wevents != levents {
-		t.Errorf("events: wheel %d, legacy %d (must be equal)", wevents, levents)
+	if revents != levents {
+		t.Errorf("events: run %d, legacy %d (must be equal)", revents, levents)
 	}
-	if witers > liters+levents {
-		t.Errorf("wheel iterations %d exceed stale bound %d (legacy %d + events %d)",
-			witers, liters+levents, liters, levents)
+	if riters > liters+levents {
+		t.Errorf("run iterations %d exceed stale bound %d (legacy %d + events %d)",
+			riters, liters+levents, liters, levents)
 	}
-	if witers == 0 || liters == 0 {
+	if riters == 0 || liters == 0 {
 		t.Error("LoopStats reported zero iterations")
 	}
-	t.Logf("iters: legacy %d, wheel %d (%.1f%%); events %d",
-		liters, witers, 100*float64(witers)/float64(liters), levents)
+	t.Logf("iters: legacy %d, run %d (%.1f%%); events %d",
+		liters, riters, 100*float64(riters)/float64(liters), levents)
 }

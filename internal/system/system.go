@@ -12,7 +12,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/evq"
 	"repro/internal/memctrl"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -78,28 +77,83 @@ type System struct {
 	mapper addrmap.Mapper
 	ctrls  []*memctrl.Controller
 
-	now       Tick
-	wakes     []Tick
-	finished  int
-	coreDone  []bool
-	err       error
-	demandRds uint64
-	fillRds   uint64
-	wbWrites  uint64
+	now      Tick
+	wakes    []Tick
+	finished int
+	coreDone []bool
 
-	// Demand-load completions, and the buffer each tick's batch pops into.
-	wheel *evq.Wheel
-	batch []evq.Event
+	// pending holds demand-load completions not yet delivered.
+	pending completionHeap
 
 	// Event-loop statistics (LoopStats).
 	iters  uint64
 	events uint64
 }
 
-// evComplete is the wheel event kind for demand-load completions; A carries
-// the core index and B the segment token, so the queue's (At, Kind, A, B)
-// order delivers one tick's completions in (core, token) order.
-const evComplete uint8 = 0
+// completion is a demand load's data returning to its core at tick at.
+type completion struct {
+	at    Tick
+	core  int
+	token uint64
+}
+
+// before orders completions by (at, core, token). No two completions share
+// all three, so pop order does not depend on the heap's shape.
+func (c completion) before(d completion) bool {
+	if c.at != d.at {
+		return c.at < d.at
+	}
+	if c.core != d.core {
+		return c.core < d.core
+	}
+	return c.token < d.token
+}
+
+// completionHeap is a binary min-heap of completions under before. It holds
+// few at a time: on 8-core runs of eight workloads, with and without
+// mitigation, 5–23 completions were in flight on average and 64 at most, all
+// landing within about a thousand ticks, so bucketing them by time saves
+// nothing a heap of that depth would spend.
+type completionHeap []completion
+
+func (h *completionHeap) push(c completion) {
+	s := append(*h, c)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s[i].before(s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+	*h = s
+}
+
+func (h *completionHeap) pop() completion {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	i := 0
+	for {
+		small := i
+		if l := 2*i + 1; l < len(s) && s[l].before(s[small]) {
+			small = l
+		}
+		if r := 2*i + 2; r < len(s) && s[r].before(s[small]) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		s[i], s[small] = s[small], s[i]
+		i = small
+	}
+	*h = s
+	return top
+}
 
 // New assembles a machine running one trace per core.
 func New(cfg Config, traces []cpu.Trace) (*System, error) {
@@ -117,8 +171,7 @@ func New(cfg Config, traces []cpu.Trace) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, llc: llc, mapper: mapper,
-		wheel: evq.NewWheel(0), batch: make([]evq.Event, 0, 64)}
+	s := &System{cfg: cfg, llc: llc, mapper: mapper}
 
 	for sub := 0; sub < cfg.Geometry.SubChannels; sub++ {
 		dev, err := dram.NewSubChannel(cfg.Timings, cfg.Geometry.Banks)
@@ -148,6 +201,9 @@ func New(cfg Config, traces []cpu.Trace) (*System, error) {
 		s.cores = append(s.cores, core)
 	}
 	s.coreDone = make([]bool, len(s.cores))
+	// A completion answers one of a core's at most MSHRs outstanding
+	// misses, so the heap never outgrows this.
+	s.pending = make(completionHeap, 0, len(s.cores)*cfg.CoreCfg.MSHRs)
 	if cfg.Obs != nil {
 		cfg.Obs.Bind(obs.Sources{
 			Retired: func() int64 {
@@ -182,7 +238,6 @@ func (s *System) Load(core int, when Tick, lineAddr uint64, token uint64) (Tick,
 	if res.Hit {
 		return when + LLCHitLatency, false
 	}
-	s.demandRds++
 	s.enqueue(lineAddr, when, false, core, token, true)
 	return 0, true
 }
@@ -195,15 +250,11 @@ func (s *System) Store(core int, when Tick, lineAddr uint64) {
 		s.enqueue(res.WritebackAddr, when, true, core, 0, false)
 	}
 	if !res.Hit {
-		s.fillRds++
 		s.enqueue(lineAddr, when, false, core, 0, false)
 	}
 }
 
 func (s *System) enqueue(lineAddr uint64, when Tick, isWrite bool, core int, token uint64, notify bool) {
-	if isWrite {
-		s.wbWrites++
-	}
 	loc := s.mapper.Map(lineAddr)
 	arrival := sim.MaxTick(when+ReqLatency, s.now)
 	s.ctrls[loc.Sub].Enqueue(memctrl.Request{
@@ -222,7 +273,7 @@ func (s *System) enqueue(lineAddr uint64, when Tick, isWrite bool, core int, tok
 
 // onDone receives demand-load completions from the controllers.
 func (s *System) onDone(core int, token uint64, done Tick) {
-	s.wheel.Push(evq.Event{At: int64(done), Kind: evComplete, A: int32(core), B: token})
+	s.pending.push(completion{at: done, core: core, token: token})
 }
 
 // progressStride is how many event-loop iterations pass between OnProgress
@@ -232,16 +283,15 @@ const progressStride = 512
 
 // Run executes until every core finishes its trace (or MaxTime).
 //
-// Completions are typed events in the timing wheel, whose slot extraction
-// beats a binary heap with hundreds of completions in flight: each
-// iteration pops the whole batch for one tick in (core, token) order and
-// delivers it with targeted finished checks, since a core can only finish
-// inside its own Complete. Controller wakes stay in the flat wakes array: with two
-// sub-channels the per-iteration scan is two compares, which beats the
-// remove-and-push round trips that keeping wakes as queue events would cost
-// on every lowered wake. Earlier versions queued wakes as events (armWake);
-// profiles showed the re-arm traffic and its allocations cost more than the
-// scan it saved.
+// Each iteration advances to the earliest of the controller wakes and the
+// first pending completion. It delivers every completion due at that tick
+// in (core, token) order, checking only the cores that completed (a core
+// can finish only inside its own Complete), then runs the controllers due.
+// A controller schedules every completion after the tick it runs at, so the
+// heap never holds one earlier than now. Controller wakes stay in the flat
+// wakes array: with two sub-channels the per-iteration scan is two
+// compares, while queueing wakes as events cost a remove-and-push round
+// trip every time an arrival lowered one.
 func (s *System) Run() error {
 	for _, c := range s.cores {
 		c.Step()
@@ -260,13 +310,8 @@ func (s *System) Run() error {
 				t = w
 			}
 		}
-		// The bounded pop tests and extracts in one slot search; a batch
-		// popped at a tick the MaxTime check then rejects is unobservable,
-		// because an aborted run discards the System wholesale.
-		batch, ct, haveComp := s.wheel.PopNextBefore(int64(t), s.batch[:0])
-		s.batch = batch
-		if haveComp {
-			t = Tick(ct)
+		if len(s.pending) > 0 && s.pending[0].at < t {
+			t = s.pending[0].at
 		}
 		if t >= s.cfg.MaxTime {
 			return fmt.Errorf("system: exceeded MaxTime %v at %v (deadlock?)", s.cfg.MaxTime, s.now)
@@ -275,16 +320,14 @@ func (s *System) Run() error {
 			return fmt.Errorf("system: no pending events but %d cores unfinished", len(s.cores)-s.finished)
 		}
 		s.now = t
-		if haveComp {
-			for _, e := range s.batch {
-				s.events++
-				core := int(e.A)
-				s.cores[core].Complete(e.B, t)
-				if !s.coreDone[core] {
-					if done, _ := s.cores[core].Finished(); done {
-						s.coreDone[core] = true
-						s.finished++
-					}
+		for len(s.pending) > 0 && s.pending[0].at == t {
+			c := s.pending.pop()
+			s.events++
+			s.cores[c.core].Complete(c.token, t)
+			if !s.coreDone[c.core] {
+				if done, _ := s.cores[c.core].Finished(); done {
+					s.coreDone[c.core] = true
+					s.finished++
 				}
 			}
 		}

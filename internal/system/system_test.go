@@ -1,6 +1,8 @@
 package system
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/cpu"
@@ -29,6 +31,116 @@ func run(t *testing.T, cfg Config, tr []cpu.Trace) *System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// driveCompletionHeap drives the completion heap the way Run does — pushes
+// after the current tick, then every completion of the earliest tick popped —
+// for ops rounds of up to four pushes, then drains it, checking each tick's
+// pops against a sorted-slice reference. The pushes form dense same-tick
+// groups and pairs with equal (at, core) that differ only in token, so a heap
+// ordered by less than (at, core, token) fails.
+func driveCompletionHeap(t *testing.T, seed int64, ops int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var h completionHeap
+	var ref []completion
+	now := Tick(0)
+	for op := 0; op < ops || len(ref) > 0; op++ {
+		for n := rng.Intn(5); op < ops && n > 0; n-- {
+			c := completion{core: rng.Intn(8), token: uint64(rng.Intn(64))}
+			switch rng.Intn(5) {
+			case 0, 1: // spread over the next thousand ticks
+				c.at = now + 1 + Tick(rng.Int63n(1000))
+			case 2, 3: // dense: a few ticks shared by many completions
+				c.at = now + 1 + Tick(rng.Intn(3))
+			default: // a queued completion's tick and core, another token
+				if len(ref) == 0 {
+					continue
+				}
+				d := ref[rng.Intn(len(ref))]
+				c.at, c.core, c.token = d.at, d.core, d.token+1+uint64(rng.Intn(3))
+			}
+			h.push(c)
+			ref = append(ref, c)
+		}
+		if len(ref) == 0 {
+			continue
+		}
+		sort.Slice(ref, func(i, j int) bool {
+			a, b := ref[i], ref[j]
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			if a.core != b.core {
+				return a.core < b.core
+			}
+			return a.token < b.token
+		})
+		now = ref[0].at
+		if len(h) != len(ref) {
+			t.Fatalf("seed %d op %d: heap holds %d, reference %d", seed, op, len(h), len(ref))
+		}
+		if h[0].at != now {
+			t.Fatalf("seed %d op %d: heap top at %d, reference's next at %d", seed, op, h[0].at, now)
+		}
+		i := 0
+		for ; len(h) > 0 && h[0].at == now; i++ {
+			if got := h.pop(); got != ref[i] {
+				t.Fatalf("seed %d op %d tick %d pop %d: %+v, want %+v", seed, op, now, i, got, ref[i])
+			}
+		}
+		if i < len(ref) && ref[i].at == now {
+			t.Fatalf("seed %d op %d tick %d: popped %d, reference has more due", seed, op, now, i)
+		}
+		ref = ref[i:]
+	}
+}
+
+// TestCompletionHeapOrder runs the reference comparison over 20 seeds.
+func TestCompletionHeapOrder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		driveCompletionHeap(t, seed, 300)
+	}
+}
+
+// TestCompletionHeapSameTickOrder pushes one tick's completions in reverse
+// (core, token) order, three of them on one core, behind a completion of a
+// later tick, and checks that the tick pops in (core, token) order and leaves
+// the later completion queued.
+func TestCompletionHeapSameTickOrder(t *testing.T) {
+	want := []completion{
+		{at: 100, core: 0, token: 9},
+		{at: 100, core: 1, token: 8},
+		{at: 100, core: 5, token: 3},
+		{at: 100, core: 5, token: 7},
+		{at: 100, core: 5, token: 8},
+		{at: 100, core: 7, token: 0},
+	}
+	later := completion{at: 101, core: 0, token: 0}
+	var h completionHeap
+	h.push(later)
+	for i := len(want) - 1; i >= 0; i-- {
+		h.push(want[i])
+	}
+	for i, w := range want {
+		if got := h.pop(); got != w {
+			t.Fatalf("pop %d: %+v, want %+v", i, got, w)
+		}
+	}
+	if len(h) != 1 || h[0] != later {
+		t.Fatalf("after tick 100 the heap holds %+v, want only %+v", h, later)
+	}
+}
+
+// FuzzCompletionHeap lets go's fuzzer mutate the seed for the reference
+// comparison.
+func FuzzCompletionHeap(f *testing.F) {
+	for _, s := range []int64{1, 42, 0xdead} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		driveCompletionHeap(t, seed, 120)
+	})
 }
 
 func TestEndToEndBaseline(t *testing.T) {

@@ -56,7 +56,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		maxTO   = fs.Duration("max-request-timeout", 10*time.Minute, "cap on client-supplied deadlines")
 		simTO   = fs.Duration("sim-timeout", time.Minute,
 			"per-simulation wall-clock watchdog (0 disables; trips are retried, then 503)")
-		retries = fs.Int("retries", 2, "max attempts per transient simulation failure")
+		retries = fs.Int("retries", 2,
+			"total attempts (1 = no retry) per transient simulation failure")
 		backoff = fs.Duration("retry-backoff", 0,
 			"base delay between retry attempts (doubles per retry; 0 = immediate)")
 		brkN = fs.Int("breaker-threshold", 3,
@@ -81,6 +82,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			`this shard's identity in lease records ("" = host-pid); live shards must not share one`)
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *retries < 1 {
+		fmt.Fprintf(stderr, "dreamd: -retries %d: must be at least 1 (total attempts, 1 = no retry)\n", *retries)
 		return 2
 	}
 	harness.SetOutput(stderr)

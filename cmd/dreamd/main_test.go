@@ -81,3 +81,18 @@ func TestServeCacheHitAndSigtermDrain(t *testing.T) {
 		t.Errorf("missing drain message; stdout:\n%s", stdout.String())
 	}
 }
+
+// TestZeroRetriesIsUsageError pins -retries as a count of total attempts:
+// 0 would otherwise read as "unset" and silently keep the default policy.
+func TestZeroRetriesIsUsageError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-retries", "0"}, &stdout, &stderr, nil); code != 2 {
+		t.Fatalf("-retries 0: exit %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "-retries") {
+		t.Errorf("stderr %q does not name the flag", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("server started despite the usage error:\n%s", stdout.String())
+	}
+}

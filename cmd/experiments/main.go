@@ -12,6 +12,8 @@
 //	                                  # then: go tool pprof cpu.prof
 //	                                  # (-cache-dir "" so the run simulates
 //	                                  # instead of replaying the disk cache)
+//	experiments -run fig5 -quick -peers http://127.0.0.1:8377,http://127.0.0.1:8378
+//	                                  # fan each figure's cells across dreamd shards
 //
 // Performance flags: -perfstats prints per-figure wall-clock and simulator
 // events/sec at exit (cache-served figures report zero events). Results
@@ -22,6 +24,15 @@
 // (converting livelocks into per-run failures), -journal controls where
 // completions are recorded, and -fault (or EXPERIMENTS_FAULT) injects a
 // test-only failure to exercise the harness.
+//
+// Sharding: -peers runs every campaign cell on the listed dreamd shards while
+// planning, merging and rendering stay here, so the figure is byte-identical
+// to an in-process run (results round-trip through versioned JSON bit-exactly
+// and merge in plan order). Shards sharing one -campaign-dir and -cache-dir
+// work-steal the campaign through the lease ledger; independent shards
+// duplicate cells (wasteful, never incorrect). Retryable cell failures are
+// re-posted to surviving shards, and a shard whose plan hash, schema version
+// or cache key generation disagrees is dropped instead of merged.
 package main
 
 import (
@@ -39,6 +50,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/svc"
 )
 
 func main() {
@@ -87,11 +99,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"directory for per-run metrics files")
 		metricsEpoch = fs.Int("metrics-epoch", 0,
 			"epoch sampler period in REF intervals (0 = default 16)")
+
+		peers = fs.String("peers", "",
+			"comma-separated dreamd base URLs to run each figure's cells on (\"\" = in-process)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	harness.SetOutput(stderr)
+	if *peers != "" && *metrics != "" {
+		fmt.Fprintln(stderr, "experiments: -metrics cannot be combined with -peers (metrics are written where cells run)")
+		return 2
+	}
 	if *nocache {
 		exp.SetCacheEnabled(false)
 	} else if *cacheDir != "" {
@@ -216,6 +235,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *schemes != "" {
 		o.ExtraSchemes = strings.Split(*schemes, ",")
+	}
+	if *peers != "" {
+		var eps []string
+		for _, ep := range strings.Split(*peers, ",") {
+			if ep = strings.TrimSpace(ep); ep != "" {
+				eps = append(eps, ep)
+			}
+		}
+		o.Executor = &svc.CampaignClient{Endpoints: eps}
 	}
 
 	var perf []perfEntry

@@ -330,7 +330,7 @@ func SimulateContext(ctx context.Context, cfg Config) (Result, error) {
 
 // CompareContext runs the unprotected baseline and the scheme on identical
 // traces and returns both results plus the slowdown fraction. Baseline and
-// scheme run concurrently on the shared worker pool (the trace set is
+// scheme run concurrently through exp.ParallelCtx (the trace set is
 // memoized by seed), and cancelling ctx aborts both.
 func CompareContext(ctx context.Context, cfg Config) (base, scheme Result, slowdown float64, err error) {
 	cfg = cfg.withDefaults()

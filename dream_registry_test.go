@@ -12,7 +12,6 @@ import (
 // nopTracker is the smallest possible Mitigator: it never mitigates.
 type nopTracker struct{}
 
-func (nopTracker) Name() string                          { return "facade-test-nop" }
 func (nopTracker) OnActivate(Tick, int, uint32) Decision { return Decision{} }
 func (nopTracker) OnSampled(Tick, int, uint32)           {}
 func (nopTracker) OnMitigations(Tick, []Mitigation)      {}

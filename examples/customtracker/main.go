@@ -35,9 +35,6 @@ func newCounterPARA(banks, slots int, tth uint32) *counterPARA {
 	return c
 }
 
-// Name implements dream.Mitigator.
-func (c *counterPARA) Name() string { return "example-counter-para" }
-
 // OnActivate implements dream.Mitigator: count, and mitigate on threshold.
 func (c *counterPARA) OnActivate(now dream.Tick, bank int, row uint32) dream.Decision {
 	slot := (row * 2654435761) % uint32(len(c.counts[bank]))

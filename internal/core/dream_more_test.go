@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/dram"
@@ -15,19 +14,12 @@ func TestNamesAndStrings(t *testing.T) {
 	if GroupRandomized.String() != "randomized" || GroupSetAssociative.String() != "set-assoc" {
 		t.Error("Grouping strings wrong")
 	}
-	p, err := NewDreamRPARA(DreamRPARAConfig{TRH: 2000, Banks: 32, UseATM: true}, sim.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(p.Name(), "DREAM-R/PARA") {
-		t.Errorf("name = %q", p.Name())
-	}
 	m, err := NewDreamRMINT(DreamRMINTConfig{TRH: 2000, Banks: 32, UseATM: true, UseRMAQ: true}, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(m.Name(), "rmaq=true") {
-		t.Errorf("name = %q", m.Name())
+	if m.rmaq == nil {
+		t.Error("UseRMAQ built no RMAQ")
 	}
 	if m.Window() != 99 {
 		t.Errorf("window = %d", m.Window())
@@ -37,8 +29,8 @@ func TestNamesAndStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(c.Name(), "gang=128") {
-		t.Errorf("name = %q", c.Name())
+	if gang := c.cfg.Banks * c.vertical / c.cfg.EntryMult; gang != 128 {
+		t.Errorf("gang = %d rows, want 128 at T_RH 500", gang)
 	}
 	// Randomized masks must exist and differ across banks.
 	distinct := map[uint32]bool{}

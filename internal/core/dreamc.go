@@ -141,12 +141,6 @@ func NewDreamC(cfg DreamCConfig, rng *sim.RNG) (*DreamC, error) {
 	return d, nil
 }
 
-// Name implements memctrl.Mitigator.
-func (t *DreamC) Name() string {
-	return fmt.Sprintf("DREAM-C(gang=%d,%s,TTH=%d,x%d)",
-		t.cfg.Banks*t.vertical/t.cfg.EntryMult, t.cfg.Grouping, t.tth, t.cfg.EntryMult)
-}
-
 // Index returns the DCT entry for an activation of (bank, row).
 func (t *DreamC) Index(bank int, row uint32) int {
 	base := int((row^t.masks[bank])>>t.vshift) * t.cfg.EntryMult

@@ -100,11 +100,6 @@ func NewDreamRMINT(cfg DreamRMINTConfig, rng *sim.RNG) (*DreamRMINT, error) {
 	return d, nil
 }
 
-// Name implements memctrl.Mitigator.
-func (t *DreamRMINT) Name() string {
-	return fmt.Sprintf("DREAM-R/MINT(W=%d,%s,atm=%v,rmaq=%v)", t.w, t.kind, t.atm != nil, t.rmaq != nil)
-}
-
 // Window reports the operating window size.
 func (t *DreamRMINT) Window() int { return t.w }
 

@@ -70,11 +70,6 @@ func NewDreamRPARA(cfg DreamRPARAConfig, rng *sim.RNG) (*DreamRPARA, error) {
 	return d, nil
 }
 
-// Name implements memctrl.Mitigator.
-func (t *DreamRPARA) Name() string {
-	return fmt.Sprintf("DREAM-R/PARA(p=%.5f,%s,atm=%v)", t.p, t.kind, t.atm != nil)
-}
-
 // OnActivate implements memctrl.Mitigator (Listing 1 plus ATM).
 func (t *DreamRPARA) OnActivate(now Tick, bank int, row uint32) memctrl.Decision {
 	var d memctrl.Decision

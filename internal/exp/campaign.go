@@ -15,10 +15,11 @@ import (
 
 // A campaign is a figure's grid turned into a first-class job set: the
 // planner enumerates self-contained CampaignCell values, and an Executor —
-// in-process by default, a dreamctl fan-out across dreamd shards otherwise —
-// turns each cell into a stats.RunResult. Cells are serializable and carry
-// everything needed to reproduce the run bit-exactly on another machine, so
-// a figure renders byte-identically no matter where its cells executed.
+// in-process by default, a fan-out across dreamd shards (experiments -peers)
+// otherwise — turns each cell into a stats.RunResult. Cells are serializable
+// and carry everything needed to reproduce the run bit-exactly on another
+// machine, so a figure renders byte-identically no matter where its cells
+// executed.
 
 // CampaignSchemaVersion versions the CampaignCell wire shape and the plan
 // hash derivation. Peers with different versions must not exchange cells.
@@ -119,11 +120,11 @@ func (c CampaignCell) runConfig() (RunConfig, error) {
 }
 
 // PlanHash fingerprints an ordered cell list under the campaign schema
-// version and key generation. dreamctl stamps it into /v1/campaign requests
-// and dreamd recomputes it, so a client/server pair that would disagree on
-// any cell's identity — different schema, different key generation, skewed
-// JSON handling — fails fast with a typed mismatch instead of silently
-// merging incompatible results.
+// version and key generation. The campaign client stamps it into
+// /v1/campaign requests and dreamd recomputes it, so a client/server pair
+// that would disagree on any cell's identity — different schema, different
+// key generation, skewed JSON handling — fails fast with a typed mismatch
+// instead of silently merging incompatible results.
 func PlanHash(cells []CampaignCell) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "plan/v%d/%s/%d\n", CampaignSchemaVersion, KeyGeneration(), len(cells))
@@ -180,14 +181,14 @@ type CellResult struct {
 
 // Executor turns a planned cell list into results. Implementations must
 // return exactly one CellResult per cell, in cell order; execution order and
-// placement are theirs to choose. The in-process executor runs cells on the
-// shared worker pool; svc.CampaignClient fans them out across dreamd shards.
+// placement are theirs to choose. The in-process executor runs cells through
+// ParallelCtx; svc.CampaignClient fans them out across dreamd shards.
 type Executor interface {
 	ExecCells(ctx context.Context, cells []CampaignCell) []CellResult
 }
 
-// localExecutor runs cells on the in-process shared worker pool with the
-// same cancel-on-first-error semantics grids have always had: after the
+// localExecutor runs cells in-process through ParallelCtx with the same
+// cancel-on-first-error semantics grids have always had: after the
 // first failure, the call's unclaimed cells come back as harness.ErrSkipped.
 // A threshold sweep's wave spans every threshold (see slowdownSweep), so one
 // failure can skip cells of other thresholds' rows too.

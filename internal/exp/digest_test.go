@@ -101,8 +101,8 @@ func runDigest(k digestKey) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// runDigests computes every key's digest on the shared worker pool with the
-// run cache off, so each digest comes from a real simulation.
+// runDigests computes every key's digest through Parallel with the run cache
+// off, so each digest comes from a real simulation.
 func runDigests(t *testing.T, keys []digestKey) []string {
 	t.Helper()
 	was := SetCacheEnabled(false)

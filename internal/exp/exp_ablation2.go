@@ -5,7 +5,6 @@ import (
 
 	dreamcore "repro/internal/core"
 	"repro/internal/memctrl"
-	"repro/internal/stats"
 )
 
 // dreamRMINTKind builds DREAM-R (MINT) over an explicit DRFM flavour.
@@ -37,28 +36,6 @@ func AblationDRFMKind(o Options) error {
 	slow, raw, err := slowdownGrid(o, wls, 2000, 8, schemes)
 	printSlowdownTable(o.out(), "Ablation: DREAM-R over DRFMsb vs DRFMab (MINT, T_RH=2K)",
 		wls, schemeNames(schemes), slow)
-	t := stats.Table{Title: "Ablation: command counts and RLP",
-		Columns: []string{"design", "DRFMs", "avg RLP"}}
-	for _, sc := range schemes {
-		var drfms uint64
-		var rlp float64
-		n := 0
-		for _, wl := range wls {
-			r, ok := raw[wl][sc.Name]
-			if !ok {
-				continue
-			}
-			drfms += r.DRFMsbs + r.DRFMabs
-			if r.RLP > 0 {
-				rlp += r.RLP
-				n++
-			}
-		}
-		if n > 0 {
-			rlp /= float64(n)
-		}
-		t.AddRow(sc.Name, fmt.Sprintf("%d", drfms), fmt.Sprintf("%.2f", rlp))
-	}
-	fmt.Fprintln(o.out(), t.String())
+	printDRFMCounts(o.out(), "Ablation: command counts and RLP", "avg RLP", wls, schemes, raw)
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 
 	dreamcore "repro/internal/core"
@@ -285,7 +286,15 @@ func AblationDelay(o Options) error {
 	wls := o.workloads()
 	slow, raw, err := slowdownGrid(o, wls, 2000, 8, schemes)
 	printSlowdownTable(o.out(), "Ablation: delaying DRFM (MINT, T_RH=2K)", wls, schemeNames(schemes), slow)
-	t := stats.Table{Title: "Ablation: DRFM command counts", Columns: []string{"design", "DRFMs", "RLP"}}
+	printDRFMCounts(o.out(), "Ablation: DRFM command counts", "RLP", wls, schemes, raw)
+	return err
+}
+
+// printDRFMCounts renders each scheme's DRFM command total over wls and its
+// RLP averaged over the workloads that issued DRFMs.
+func printDRFMCounts(w io.Writer, title, rlpCol string, wls []string, schemes []Scheme,
+	raw map[string]map[string]stats.RunResult) {
+	t := stats.Table{Title: title, Columns: []string{"design", "DRFMs", rlpCol}}
 	for _, sc := range schemes {
 		var drfms uint64
 		var rlp float64
@@ -306,8 +315,7 @@ func AblationDelay(o Options) error {
 		}
 		t.AddRow(sc.Name, fmt.Sprintf("%d", drfms), fmt.Sprintf("%.2f", rlp))
 	}
-	fmt.Fprintln(o.out(), t.String())
-	return err
+	fmt.Fprintln(w, t.String())
 }
 
 // AblationATM contrasts the two ways DREAM-R restores the tolerated

@@ -22,8 +22,8 @@ type Options struct {
 	// Workloads overrides the workload list.
 	Workloads []string
 	// Executor, when non-nil, routes grid campaign cells through an
-	// alternative execution backend (dreamctl's sharded fan-out across dreamd
-	// endpoints); nil executes in-process on the shared worker pool.
+	// alternative execution backend (svc.CampaignClient's fan-out across
+	// dreamd endpoints); nil executes in-process through ParallelCtx.
 	Executor Executor
 	// ExtraSchemes appends registered scheme names as extra comparison
 	// columns to experiments that support it (postdream); unknown names are

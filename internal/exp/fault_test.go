@@ -17,7 +17,7 @@ import (
 // TestGridSurvivesInjectedPanic poisons one simulation of a slowdown grid
 // and checks the degradation contract end to end: the process survives, the
 // grid renders with FAIL cells, the aggregate error names the failed run,
-// and the shared worker pool stays usable afterwards.
+// and Parallel stays usable afterwards.
 func TestGridSurvivesInjectedPanic(t *testing.T) {
 	ResetCache()
 	t.Cleanup(ResetCache)
@@ -55,10 +55,10 @@ func TestGridSurvivesInjectedPanic(t *testing.T) {
 		t.Errorf("degraded grid rendered no FAIL cell:\n%s", buf.String())
 	}
 
-	// The pool's pending latch must have drained despite the panic.
+	// A recovered panic must leave no state behind that breaks later calls.
 	vals, perr := Parallel(8, func(i int) (int, error) { return i * i, nil })
 	if perr != nil {
-		t.Fatalf("pool unusable after panic: %v", perr)
+		t.Fatalf("Parallel unusable after panic: %v", perr)
 	}
 	for i, v := range vals {
 		if v != i*i {
@@ -205,9 +205,9 @@ func TestParallelCtxSkipsAfterFailure(t *testing.T) {
 	}
 }
 
-// TestParallelCtxRecoversJobPanic checks the pool-level recover: a panic in
-// a job becomes that index's error instead of killing the process or
-// wedging the batch latch.
+// TestParallelCtxRecoversJobPanic checks ParallelCtx's own recover: a panic
+// in a job becomes that index's error instead of killing the process or
+// leaving the call waiting on a job that never finishes.
 func TestParallelCtxRecoversJobPanic(t *testing.T) {
 	_, errs, err := ParallelCtx(context.Background(), 4, func(_ context.Context, i int) (int, error) {
 		if i == 2 {

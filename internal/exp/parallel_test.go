@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -91,5 +93,41 @@ func TestParallelCtxRealFailureStillReported(t *testing.T) {
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Error("aggregate join contains ctx-cancellation fallout")
+	}
+}
+
+// TestParallelCtxConcurrency pins the fan-out's width: the caller plus
+// GOMAXPROCS goroutines, so GOMAXPROCS+1 jobs run at once (capped by n).
+// Every job holds until that many are running, or until the deadline, so a
+// narrower fan-out shows as a lower peak; a wider one shows as a higher peak
+// when an extra goroutine claims a job before the first wave is released.
+func TestParallelCtxConcurrency(t *testing.T) {
+	const n = 16
+	want := int32(min(n, runtime.GOMAXPROCS(0)+1))
+	deadline, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	reached := make(chan struct{})
+	var once sync.Once
+	var running, peak atomic.Int32
+	_, _, err := ParallelCtx(context.Background(), n, func(context.Context, int) (int, error) {
+		now := running.Add(1)
+		defer running.Add(-1)
+		for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+		}
+		if now == want {
+			once.Do(func() { close(reached) })
+		}
+		select {
+		case <-reached:
+		case <-deadline.Done():
+		}
+		return 0, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got != want {
+		t.Errorf("peak concurrency %d, want %d (GOMAXPROCS %d + the caller, capped at %d jobs)",
+			got, want, runtime.GOMAXPROCS(0), n)
 	}
 }

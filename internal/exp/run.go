@@ -728,187 +728,87 @@ func collect(cfg RunConfig, sys *system.System) stats.RunResult {
 	return r
 }
 
-// --- shared worker pool -----------------------------------------------------
-
-// batch is one Parallel invocation: a counter of unclaimed job indices and
-// a completion latch. Workers and the submitting goroutine draw indices
-// from the same counter, so work is shared without per-call goroutine
-// churn and nested Parallel calls can never deadlock (the submitter always
-// drives its own batch to completion).
-type batch struct {
-	n       int
-	next    atomic.Int64
-	pending atomic.Int64
-	// closed is set by pool.remove once the submitter has collected the
-	// batch: a worker still holding a stale *batch pointer re-checks it and
-	// bails instead of re-entering a batch whose owner already returned.
-	closed atomic.Bool
-	done   chan struct{}
-	run    func(i int)
-	// fail receives panics recovered from run (index, converted error).
-	fail func(i int, err error)
-}
-
-// help claims and runs job indices until the batch is exhausted or closed.
-func (b *batch) help() {
-	for {
-		if b.closed.Load() {
-			return
-		}
-		i := int(b.next.Add(1)) - 1
-		if i >= b.n {
-			return
-		}
-		b.exec(i)
-		if b.pending.Add(-1) == 0 {
-			close(b.done)
-		}
-	}
-}
-
-// exec runs one job index, converting a panic into an error delivered via
-// fail. The recover lives here — not in the job — so the pending latch
-// above always decrements and a poisoned job can neither kill the process
-// nor wedge every later Parallel call on a latch that never closes.
-func (b *batch) exec(i int) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err := error(harness.NewPanicError(harness.RunID{}, rec, debug.Stack()))
-			if b.fail != nil {
-				b.fail(i, err)
-			} else {
-				harness.Logf("exp: pool job %d panicked with no failure sink: %v", i, err)
-			}
-		}
-	}()
-	b.run(i)
-}
-
-// pool fans active batches out to a fixed set of workers.
-type pool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	batches []*batch
-}
-
-var (
-	sharedPool = &pool{}
-	poolOnce   sync.Once
-)
-
-func (p *pool) start() {
-	p.cond = sync.NewCond(&p.mu)
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		go p.worker()
-	}
-}
-
-func (p *pool) worker() {
-	for {
-		p.mu.Lock()
-		var b *batch
-		for b == nil {
-			for i := 0; i < len(p.batches); i++ {
-				cand := p.batches[i]
-				if !cand.closed.Load() && cand.next.Load() < int64(cand.n) {
-					b = cand
-					break
-				}
-			}
-			if b == nil {
-				p.cond.Wait()
-			}
-		}
-		p.mu.Unlock()
-		b.help()
-	}
-}
-
-func (p *pool) submit(b *batch) {
-	p.mu.Lock()
-	p.batches = append(p.batches, b)
-	p.mu.Unlock()
-	p.cond.Broadcast()
-}
-
-func (p *pool) remove(b *batch) {
-	// Mark first: a worker that grabbed b before it leaves the slice will
-	// re-check closed at the top of help and never re-enter the batch.
-	b.closed.Store(true)
-	p.mu.Lock()
-	for i := range p.batches {
-		if p.batches[i] == b {
-			p.batches = append(p.batches[:i], p.batches[i+1:]...)
-			break
-		}
-	}
-	p.mu.Unlock()
-}
-
-// Parallel runs jobs on the shared worker pool, preserving result order.
-// Identical in-flight simulations are additionally deduplicated by the run
-// cache's singleflight layer, so concurrent figures never race to compute
-// the same baseline twice. On failure it returns the partial results
-// alongside the aggregate error (see ParallelCtx for the full contract).
+// Parallel runs jobs concurrently, preserving result order. Identical
+// in-flight simulations are additionally deduplicated by the run cache's
+// singleflight layer, so concurrent figures never race to compute the same
+// baseline twice. On failure it returns the partial results alongside the
+// aggregate error (see ParallelCtx for the full contract).
 func Parallel[T any](n int, job func(i int) (T, error)) ([]T, error) {
 	results, _, err := ParallelCtx(context.Background(), n,
 		func(_ context.Context, i int) (T, error) { return job(i) })
 	return results, err
 }
 
-// ParallelCtx runs jobs on the shared worker pool with cancellation and
-// error aggregation. On the first job error (or panic, or external ctx
-// cancellation) the batch is cancelled: jobs already claimed drain to
-// completion, unclaimed indices are skipped and recorded as
+// ParallelCtx runs jobs with cancellation and error aggregation. The caller
+// and up to GOMAXPROCS goroutines started for this call claim job indices
+// from one counter, so at most GOMAXPROCS+1 jobs run at once, and every
+// goroutine has exited when ParallelCtx returns. On the first job error (or
+// panic, or external ctx cancellation) the batch is cancelled: jobs already
+// claimed drain to completion, unclaimed indices are skipped and recorded as
 // harness.ErrSkipped. It returns the per-index results that did finish
-// (zero values elsewhere), a per-index error slice (nil = finished), and
-// an errors.Join of the real failures — skip markers are reported in errs
-// but excluded from the join so callers see causes, not fallout; callers
-// that need exactly one result (the facade) must inspect errs to tell a
-// skipped job from a finished one.
+// (zero values elsewhere), a per-index error slice (nil = finished), and an
+// errors.Join of the real failures — skip markers are reported in errs but
+// excluded from the join so callers see causes, not fallout; callers that
+// need exactly one result (the facade) must inspect errs to tell a skipped
+// job from a finished one.
 func ParallelCtx[T any](ctx context.Context, n int, job func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
 	if n <= 0 {
 		return nil, nil, nil
 	}
-	poolOnce.Do(sharedPool.start)
 	results := make([]T, n)
 	errs := make([]error, n)
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var failed atomic.Bool
-	b := &batch{n: n, done: make(chan struct{})}
-	b.fail = func(i int, err error) {
+	fail := func(i int, err error) {
 		errs[i] = err
 		failed.Store(true)
 		cancel()
 	}
-	b.run = func(i int) {
+	skip := func(i int) { errs[i] = fmt.Errorf("job %d: %w", i, harness.ErrSkipped) }
+	run := func(i int) {
+		// A panicking job becomes that index's failure instead of killing
+		// the process.
+		defer func() {
+			if rec := recover(); rec != nil {
+				fail(i, harness.NewPanicError(harness.RunID{}, rec, debug.Stack()))
+			}
+		}()
 		if failed.Load() || jctx.Err() != nil {
-			errs[i] = fmt.Errorf("job %d: %w", i, harness.ErrSkipped)
+			skip(i)
 			return
 		}
 		r, err := job(jctx, i)
 		if err != nil {
 			// A job aborted by the batch context is fallout, not a cause: a
-			// cancellation landing between batch submission and worker pickup
-			// (or mid-run) must deterministically read as skipped, never as a
-			// raced "real" failure — the jobs that lost the pickup race would
-			// otherwise surface wrapped ctx errors while their siblings
-			// report ErrSkipped, depending on scheduling.
+			// cancellation landing before or during a job must read as
+			// skipped, never as a raced "real" failure, or which jobs
+			// surface wrapped ctx errors would depend on scheduling.
 			if cerr := jctx.Err(); cerr != nil && errors.Is(err, cerr) {
-				errs[i] = fmt.Errorf("job %d: %w", i, harness.ErrSkipped)
+				skip(i)
 				return
 			}
-			b.fail(i, err)
+			fail(i, err)
 			return
 		}
 		results[i] = r
 	}
-	b.pending.Store(int64(n))
-	sharedPool.submit(b)
-	b.help()
-	<-b.done
-	sharedPool.remove(b)
+	var next atomic.Int64
+	drain := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			run(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(n-1, runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
+	wg.Wait()
 	var real []error
 	for _, e := range errs {
 		if e != nil && !errors.Is(e, harness.ErrSkipped) {

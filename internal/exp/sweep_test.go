@@ -142,8 +142,8 @@ func TestSweepFiguresPlanTwoWaves(t *testing.T) {
 // TestSweepSurvivesInjectedPanic poisons one simulation of a fused
 // two-threshold sweep and checks the degradation contract across the whole
 // sweep: the process survives, every threshold still renders and failed
-// cells print FAIL, the joined error names the failed run, and the shared
-// worker pool stays usable afterwards.
+// cells print FAIL, the joined error names the failed run, and Parallel
+// stays usable afterwards.
 func TestSweepSurvivesInjectedPanic(t *testing.T) {
 	ResetCache()
 	t.Cleanup(ResetCache)
@@ -194,7 +194,7 @@ func TestSweepSurvivesInjectedPanic(t *testing.T) {
 
 	vals, perr := Parallel(8, func(i int) (int, error) { return i * i, nil })
 	if perr != nil {
-		t.Fatalf("pool unusable after panic: %v", perr)
+		t.Fatalf("Parallel unusable after panic: %v", perr)
 	}
 	for i, v := range vals {
 		if v != i*i {

@@ -95,14 +95,13 @@ type Controller struct {
 	Obs *obs.SubRecorder
 
 	// Stats.
-	Activations   uint64
-	RowHits       uint64
-	ReadsServed   uint64
-	WritesServed  uint64
-	LatencySum    Tick
-	MitStallBank  Tick // bank-ticks spent stalled by mitigation ops
-	RefreshStall  Tick
-	refreshesDone uint64
+	Activations  uint64
+	RowHits      uint64
+	ReadsServed  uint64
+	WritesServed uint64
+	LatencySum   Tick
+	MitStallBank Tick // bank-ticks spent stalled by mitigation ops
+	RefreshStall Tick
 }
 
 // New builds a controller over device dev with mitigation policy mit.
@@ -353,7 +352,6 @@ func (c *Controller) doRefresh() error {
 	}
 	c.sched.dirtyAll()
 	c.RefreshStall += c.dev.Timings.TRFC
-	c.refreshesDone++
 	if c.Obs != nil {
 		c.Obs.OnRefresh(start, c.refIndex, c.dev.Timings.TRFC)
 	}

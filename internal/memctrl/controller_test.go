@@ -15,7 +15,6 @@ type recordingMit struct {
 	refreshs int
 }
 
-func (m *recordingMit) Name() string { return "recording" }
 func (m *recordingMit) OnActivate(now Tick, bank int, row uint32) Decision {
 	if m.decide == nil {
 		return Decision{}

@@ -73,8 +73,6 @@ type Decision struct {
 // The controller consults it on every demand activation and reports back the
 // sampling and victim-refresh events it performs.
 type Mitigator interface {
-	// Name identifies the scheme in reports.
-	Name() string
 	// OnActivate is consulted when the controller is about to activate
 	// (bank, row) at approximately time now.
 	OnActivate(now Tick, bank int, row uint32) Decision
@@ -92,9 +90,6 @@ type Mitigator interface {
 
 // None is the unprotected baseline: no tracking, no mitigation.
 type None struct{}
-
-// Name implements Mitigator.
-func (None) Name() string { return "none" }
 
 // OnActivate implements Mitigator.
 func (None) OnActivate(Tick, int, uint32) Decision { return Decision{} }

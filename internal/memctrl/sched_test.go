@@ -119,7 +119,6 @@ func conservativeWake(c *Controller, now Tick) Tick {
 // just plain reads and writes.
 type stressMit struct{ acts int }
 
-func (m *stressMit) Name() string { return "stress" }
 func (m *stressMit) OnActivate(now Tick, bank int, row uint32) Decision {
 	m.acts++
 	var d Decision

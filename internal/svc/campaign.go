@@ -31,10 +31,8 @@ type campaignRequest struct {
 	// PlanHash must equal exp.PlanHash(Cells) as recomputed by the server; a
 	// mismatch means the peers disagree on cell identity and must not
 	// exchange results (see errPlanMismatch).
-	PlanHash string `json:"plan_hash"`
-	// CellTimeoutMS bounds each cell's execution (0 = server default).
-	CellTimeoutMS int64              `json:"cell_timeout_ms,omitempty"`
-	Cells         []exp.CampaignCell `json:"cells"`
+	PlanHash string             `json:"plan_hash"`
+	Cells    []exp.CampaignCell `json:"cells"`
 }
 
 // campaignLine is one streamed JSONL record. Type "plan" acknowledges the
@@ -125,7 +123,6 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		emit:    emit,
 		emitted: make([]bool, len(req.Cells)),
 		failed:  make([]bool, len(req.Cells)),
-		timeout: time.Duration(req.CellTimeoutMS) * time.Millisecond,
 	}
 
 	// Probe fast-path: serve every already-memoized cell (memory or shared
@@ -151,9 +148,8 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 
 // campaignState tracks one campaign stream's per-cell resolution.
 type campaignState struct {
-	cells   []exp.CampaignCell
-	emit    func(campaignLine)
-	timeout time.Duration
+	cells []exp.CampaignCell
+	emit  func(campaignLine)
 
 	mu      sync.Mutex
 	emitted []bool
@@ -268,7 +264,7 @@ func (s *Service) campaignStandalone(ctx context.Context, st *campaignState) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := s.cellDo(ctx, st.cells[i], st.timeout)
+			res, err := s.cellDo(ctx, st.cells[i])
 			if err == nil {
 				s.cellsCompleted.Add(1)
 			} else {
@@ -397,7 +393,7 @@ func (s *Service) campaignLedger(ctx context.Context, st *campaignState, planHas
 			inflight++
 			go func(cell int, fence int64) {
 				start := time.Now()
-				res, err := s.cellDo(ctx, st.cells[cell], st.timeout)
+				res, err := s.cellDo(ctx, st.cells[cell])
 				outcomes <- outcome{cell: cell, fence: fence, res: res, err: err, busy: time.Since(start)}
 			}(cell, fence)
 		}
@@ -431,9 +427,10 @@ func (s *Service) campaignLedger(ctx context.Context, st *campaignState, planHas
 // full queue blocks instead of rejecting: campaigns are batch work and the
 // stream's progress records double as the backpressure signal. Identical
 // in-flight cells (two campaigns sharing a grid, or a peer's retry) dedup
-// onto one flight like any other request.
-func (s *Service) cellDo(ctx context.Context, cell exp.CampaignCell, timeout time.Duration) (stats.RunResult, error) {
-	fl, _, err := s.admit(ctx, ClassCampaign, "cell-"+requestKey(ClassCampaign, cell), timeout, true,
+// onto one flight like any other request. Every cell runs under the
+// service's default request timeout.
+func (s *Service) cellDo(ctx context.Context, cell exp.CampaignCell) (stats.RunResult, error) {
+	fl, _, err := s.admit(ctx, ClassCampaign, "cell-"+requestKey(ClassCampaign, cell), 0, true,
 		func(ctx context.Context) (any, error) { return exp.ExecCell(ctx, cell) })
 	if err != nil {
 		return stats.RunResult{}, err

@@ -38,9 +38,6 @@ type CampaignClient struct {
 	// shards that are still alive: 0 selects the default of 2, a negative
 	// value none (a single round).
 	RetryRounds int
-	// CellTimeout bounds each cell's execution on the shard (0 = shard
-	// default).
-	CellTimeout time.Duration
 }
 
 // PlanMismatchError reports a shard that derives a different plan (schema
@@ -122,7 +119,6 @@ func (c *CampaignClient) ExecCells(ctx context.Context, cells []exp.CampaignCell
 			SchemaVersion: exp.CampaignSchemaVersion,
 			KeyGeneration: exp.KeyGeneration(),
 			PlanHash:      exp.PlanHash(sub),
-			CellTimeoutMS: c.CellTimeout.Milliseconds(),
 			Cells:         sub,
 		})
 		if err != nil {
@@ -169,7 +165,7 @@ func (c *CampaignClient) ExecCells(ctx context.Context, cells []exp.CampaignCell
 				err := c.streamOne(ctx, httpc, ep, body, merge)
 				var pm *PlanMismatchError
 				if errors.As(err, &pm) {
-					harness.Noticef("campaign-mismatch-"+ep, "dreamctl: dropping shard: %v", pm)
+					harness.Noticef("campaign-mismatch-"+ep, "svc: dropping shard: %v", pm)
 					dropped[e] = true
 				}
 			}(e, ep)
@@ -232,7 +228,7 @@ func (c *CampaignClient) validateSchemes(ctx context.Context, httpc *http.Client
 		}
 		if missing != "" {
 			harness.Noticef("campaign-schemes-"+ep,
-				"dreamctl: dropping shard %s: scheme %q not registered there", ep, missing)
+				"svc: dropping shard %s: scheme %q not registered there", ep, missing)
 			continue
 		}
 		kept = append(kept, ep)

@@ -136,13 +136,13 @@ func TestCampaignCellAdmissionWaits(t *testing.T) {
 	ctx, cancel := context.WithCancel(tctx)
 	waited := make(chan error, 1)
 	go func() {
-		_, err := s.cellDo(ctx, cell, 0)
+		_, err := s.cellDo(ctx, cell)
 		waited <- err
 	}()
 	waitFor(t, func() bool { return s.InflightCount() == 3 })
 	joined := make(chan error, 1)
 	go func() {
-		_, err := s.cellDo(tctx, cell, 0)
+		_, err := s.cellDo(tctx, cell)
 		joined <- err
 	}()
 	waitFor(t, func() bool { return s.Snapshot().Deduped == 1 })
@@ -171,7 +171,7 @@ func TestCampaignCellAdmissionWaits(t *testing.T) {
 	}
 	ran := make(chan outcome, 1)
 	go func() {
-		res, err := s.cellDo(tctx, cell, 0)
+		res, err := s.cellDo(tctx, cell)
 		ran <- outcome{res, err}
 	}()
 	waitFor(t, func() bool { return s.InflightCount() == 3 })

@@ -71,9 +71,6 @@ func NewABACuS(cfg ABACuSConfig) (*ABACuS, error) {
 	}, nil
 }
 
-// Name implements memctrl.Mitigator.
-func (t *ABACuS) Name() string { return fmt.Sprintf("ABACuS(TTH=%d)", t.tth) }
-
 // OnActivate implements memctrl.Mitigator.
 func (t *ABACuS) OnActivate(now Tick, bank int, row uint32) memctrl.Decision {
 	bit := uint32(1) << uint(bank)

@@ -105,11 +105,6 @@ func NewDAPPER(cfg DAPPERConfig) (*DAPPER, error) {
 	return d, nil
 }
 
-// Name implements memctrl.Mitigator.
-func (d *DAPPER) Name() string {
-	return fmt.Sprintf("DAPPER(K=%d,TTH=%d,M=%d)", d.entries, d.tth, d.mitPerRef)
-}
-
 // OnActivate implements memctrl.Mitigator: track, and on threshold park the
 // row for a REF mitigation slot instead of mitigating inline. Only a full
 // pending queue mitigates immediately — the security fallback an attacker

@@ -61,11 +61,6 @@ func NewGraphene(cfg GrapheneConfig) (*Graphene, error) {
 	return g, nil
 }
 
-// Name implements memctrl.Mitigator.
-func (g *Graphene) Name() string {
-	return fmt.Sprintf("Graphene(K=%d,TTH=%d,%s)", g.entries, g.tth, g.mode)
-}
-
 // OnActivate implements memctrl.Mitigator.
 func (g *Graphene) OnActivate(now Tick, bank int, row uint32) memctrl.Decision {
 	count := g.banks[bank].touch(row)

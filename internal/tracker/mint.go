@@ -53,9 +53,6 @@ func NewMINT(w int, banks int, mode Mode, rng *sim.RNG) (*MINT, error) {
 	return t, nil
 }
 
-// Name implements memctrl.Mitigator.
-func (t *MINT) Name() string { return fmt.Sprintf("MINT(W=%d,%s)", t.w, t.mode) }
-
 // OnActivate implements memctrl.Mitigator. The window's mitigation is
 // attached to the W-th activation itself (its row closes and the
 // Explicit-Sampling + DRFM run right after its column access), so the

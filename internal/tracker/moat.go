@@ -61,9 +61,6 @@ func NewMOAT(cfg MOATConfig) (*MOAT, error) {
 	}, nil
 }
 
-// Name implements memctrl.Mitigator.
-func (t *MOAT) Name() string { return fmt.Sprintf("MOAT(ETH=%d)", t.eth) }
-
 // OnActivate implements memctrl.Mitigator.
 func (t *MOAT) OnActivate(now Tick, bank int, row uint32) memctrl.Decision {
 	k := rowtable.Key(bank, row)

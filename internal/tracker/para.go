@@ -34,9 +34,6 @@ func NewPARA(p float64, mode Mode, rng *sim.RNG) (*PARA, error) {
 	return &PARA{p: p, mode: mode, rng: rng}, nil
 }
 
-// Name implements memctrl.Mitigator.
-func (t *PARA) Name() string { return fmt.Sprintf("PARA(p=%.5f,%s)", t.p, t.mode) }
-
 // OnActivate implements memctrl.Mitigator: IID selection with probability p.
 func (t *PARA) OnActivate(now Tick, bank int, row uint32) memctrl.Decision {
 	if !t.rng.Bernoulli(t.p) {

@@ -144,11 +144,6 @@ func NewProbTracker(cfg ProbConfig, rng *sim.RNG) (*ProbTracker, error) {
 	return t, nil
 }
 
-// Name implements memctrl.Mitigator.
-func (t *ProbTracker) Name() string {
-	return fmt.Sprintf("Prob(%s,K=%d,TTH=%d)", t.policy, t.entries, t.tth)
-}
-
 // admit decides whether an untracked row enters bank's table, per policy.
 func (t *ProbTracker) admit(b *probTable) (idx int, ok bool) {
 	if len(b.rows) < cap(b.rows) {

@@ -106,9 +106,6 @@ func NewQPRAC(cfg QPRACConfig) (*QPRAC, error) {
 	return q, nil
 }
 
-// Name implements memctrl.Mitigator.
-func (t *QPRAC) Name() string { return fmt.Sprintf("QPRAC(ETH=%d,PQTH=%d)", t.eth, t.pqth) }
-
 // upsert records row's current count in bank's queue: update in place,
 // append while there is room, otherwise displace the smallest entry if this
 // count beats it.
